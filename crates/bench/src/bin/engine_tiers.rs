@@ -22,9 +22,8 @@
 //! baseline as a reported row) at zero allocations per delivery, both
 //! hard assertions — the facade is only allowed to exist if it is
 //! free. `runtime_facade_sharded_4` tracks the same work with 4-way
-//! sharding as configuration; like the scoped `sharded_pool_*` rows it
-//! spawns scoped worker threads per batch, so it is exempt from the
-//! zero-alloc assertion and reported rather than gated.
+//! sharding as configuration; `deliver_all` steps the shards inline, so
+//! it spawns no thread and joins the zero-alloc assertion.
 //!
 //! Emits a machine-readable `BENCH_engine_tiers.json` at the workspace
 //! root (ns/delivery per tier, speedup ratios vs the interpreted
@@ -40,13 +39,10 @@
 //! dispatching through the same dense tables, `hsm_guarded_flattened`,
 //! a *guarded* statechart (retry-budget session lifecycle) flattened
 //! through the unified IR onto the compiled-EFSM tier and batch-served
-//! at 64k sessions, and the persistent-worker rows
-//! (`sharded_persistent_4`, `work_stealing_4`), whose workers are
-//! spawned once *outside* the measurement and whose shard scratch is
-//! worker-resident. Exempt from the assertion: only the scoped sharded
-//! rows (`sharded_pool_*`, `runtime_facade_sharded_4`), which spawn
-//! worker threads per batch by design, amortised over tens of
-//! thousands of sessions per batch.
+//! at 64k sessions, the inline sharded facade row
+//! (`runtime_facade_sharded_4`), and the persistent-worker row
+//! (`work_stealing_4`), whose workers are spawned once *outside* the
+//! measurement and whose shard scratch is shard-resident.
 //!
 //! The deployment path gets its own rows: `artifact_cold_load` times
 //! the full ship-and-boot cycle (encode to the versioned artifact
@@ -659,70 +655,24 @@ fn main() {
         ));
     }
 
-    // Tiers 8–10: sharded multi-core batch stepping over 64k sessions,
-    // one worker thread per shard. Shard results are bit-identical to a
-    // single pool; the rows track how batch throughput scales with
-    // worker count on this machine's cores.
+    // Sharded rows share the 64k-session work: 4 rounds of the trace.
     let sharded_rounds = 4u64;
     let sharded_deliveries = sharded_rounds * SHARDED_SESSIONS as u64 * TRACE.len() as u64;
-    for shards in [1usize, 2, 4] {
-        let mut sharded = facade_engine.runtime().sharded(shards);
-        sharded.spawn_many(SHARDED_SESSIONS);
-        results.push(measure(
-            format!("sharded_pool_{shards}"),
-            sharded_deliveries,
-            false,
-            || {
-                let mut transitions = 0;
-                for _ in 0..sharded_rounds {
-                    for &id in &ids {
-                        transitions += sharded.deliver_all(id);
-                    }
-                    sharded.reset_all();
-                }
-                transitions
-            },
-        ));
-    }
 
-    // Tier 10b: the same 4-shard batch work on persistent parked
-    // workers. The workers are spawned once, *outside* the measured
-    // passes, and every shard's kernel scratch lives in the shard
-    // itself — so unlike the scoped rows above, the steady state is
-    // pure condvar handshakes over pre-sized buffers and the row joins
-    // the hard zero-alloc gate.
-    {
-        let mut sharded = facade_engine.runtime().sharded(4);
-        sharded.spawn_many(SHARDED_SESSIONS);
-        let row = sharded.with_workers(|workers| {
-            measure("sharded_persistent_4", sharded_deliveries, true, || {
-                let mut transitions = 0;
-                for _ in 0..sharded_rounds {
-                    for &id in &ids {
-                        transitions += workers.deliver_all(id);
-                    }
-                    workers.reset_all();
-                }
-                transitions
-            })
-        });
-        results.push(row);
-    }
-
-    // Tier 10c: work stealing. Eight shards over four persistent
-    // workers: each worker drains its own deque front-first and steals
-    // from its neighbours' tails when empty, so an unlucky shard split
-    // can't idle three cores. Every shard is still processed exactly
-    // once per batch by exactly one worker, so the results are
-    // bit-identical to the flat pool — asserted per batch against a
-    // flat runtime before measuring, and the row joins the hard
-    // zero-alloc gate (deques are refilled in place within retained
-    // capacity).
+    // Tier 8: work stealing, the one multi-core driver. Eight shards
+    // over four persistent workers: each worker drains its own deque
+    // front-first and steals from its neighbours' tails when empty, so
+    // an unlucky shard split can't idle three cores. Every shard is
+    // still processed exactly once per batch by exactly one worker, so
+    // the results are bit-identical to the flat pool — asserted per
+    // batch against a flat runtime before measuring, and the row joins
+    // the hard zero-alloc gate (deques are refilled in place within
+    // retained capacity).
     {
         let mut flat = facade_engine.runtime_with(SHARDED_SESSIONS);
         let mut sharded = facade_engine.runtime().sharded(8);
         sharded.spawn_many(SHARDED_SESSIONS);
-        let row = sharded.with_stealing_workers(4, |workers| {
+        let row = sharded.with_workers(4, |workers| {
             for &id in &ids {
                 assert_eq!(
                     workers.deliver_all(id),
@@ -794,7 +744,7 @@ fn main() {
         results.push(measure(
             "runtime_facade_sharded_4",
             sharded_deliveries,
-            false,
+            true,
             || {
                 let mut transitions = 0;
                 for _ in 0..sharded_rounds {
@@ -808,7 +758,7 @@ fn main() {
         ));
     }
 
-    // Tier 10c: the observability row. The same 64k-session batch work
+    // Tier 9: the observability row. The same 64k-session batch work
     // with the full telemetry stack live: per-shard counters (always
     // compiled in), the batch-latency histogram, and a 256-event
     // flight-recorder ring receiving every transition. 256 events is
@@ -839,7 +789,7 @@ fn main() {
         ));
     }
 
-    // Tier 11: build-time generated source (match over enum states,
+    // Tier 10: build-time generated source (match over enum states,
     // static send lists).
     results.push(measure(
         "generated",
@@ -916,13 +866,6 @@ fn main() {
              this as a regression"
         );
     }
-    let sharded_scaling = by_name("sharded_pool_1") / by_name("sharded_pool_4");
-    println!(
-        "sharded 4-thread vs 1-thread:        {:.2}x ({} sessions, {} hardware threads)",
-        sharded_scaling,
-        SHARDED_SESSIONS,
-        std::thread::available_parallelism().map_or(0, usize::from)
-    );
     // Flattened-statechart dispatch runs the identical dense-table hot
     // path, so it must stay in the same ballpark as the plain compiled
     // machine. Like the EFSM speedup this compares two wall-clock
@@ -967,10 +910,6 @@ fn main() {
         "minimized ring dispatch is {minimized_ratio:.3}x the unminimized original \
          (gate: <= 1.05x, paired passes; the quotient must not cost anything)"
     );
-    let persistent_vs_scoped = by_name("sharded_pool_4") / by_name("sharded_persistent_4");
-    println!("persistent vs scoped workers (4):    {persistent_vs_scoped:.2}x");
-    let stealing_vs_persistent = by_name("sharded_persistent_4") / by_name("work_stealing_4");
-    println!("stealing vs persistent workers (4):  {stealing_vs_persistent:.2}x");
     // The batch-kernel gates: bucketed branchless stepping must beat
     // the scalar per-session walk on a single core — ≥ 1.25× for the
     // dense tier, ≥ 1.4× for the EFSM tier, where the kernel also
@@ -1104,10 +1043,6 @@ fn main() {
         std::thread::available_parallelism().map_or(0, usize::from)
     );
     let _ = writeln!(json, "  \"efsm_compiled_speedup\": {efsm_speedup:.3},");
-    let _ = writeln!(
-        json,
-        "  \"sharded_4_thread_scaling\": {sharded_scaling:.3},"
-    );
     let _ = writeln!(json, "  \"hsm_flattened_vs_compiled\": {hsm_ratio:.3},");
     let _ = writeln!(
         json,
@@ -1120,15 +1055,7 @@ fn main() {
     let _ = writeln!(json, "  \"efsm_kernel_vs_scalar\": {efsm_kernel_ratio:.3},");
     let _ = writeln!(
         json,
-        "  \"work_stealing_vs_persistent_4\": {stealing_vs_persistent:.3},"
-    );
-    let _ = writeln!(
-        json,
         "  \"hsm_guarded_flat_states\": {guarded_flat_states},"
-    );
-    let _ = writeln!(
-        json,
-        "  \"persistent_vs_scoped_sharded_4\": {persistent_vs_scoped:.3},"
     );
     let _ = writeln!(
         json,

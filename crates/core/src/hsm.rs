@@ -27,9 +27,8 @@
 //!   project to an ordinary [`StateMachine`]
 //!   ([`HierarchicalMachine::flatten`]) and run on every dense-table
 //!   tier — [`FsmInstance`](crate::FsmInstance),
-//!   [`CompiledMachine`](crate::CompiledMachine) /
-//!   [`SessionPool`](crate::SessionPool) and
-//!   [`ShardedPool`](crate::ShardedPool) — with zero engine changes
+//!   [`CompiledMachine`](crate::CompiledMachine) and
+//!   [`SessionPool`](crate::SessionPool) — with zero engine changes
 //!   (the compiled tier's action-arena interning folds the synthesized
 //!   sequences back together); guarded statecharts compile onto the
 //!   register-machine tier

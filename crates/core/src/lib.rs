@@ -93,10 +93,9 @@
 //! [`SessionPool`] / [`EfsmSessionPool`] extend the compiled tiers to
 //! thousands of concurrent protocol instances stored struct-of-arrays
 //! (one `u32` — plus the EFSM's variable registers — per session),
-//! stepped with no per-event allocation, and [`ShardedPool`] partitions
-//! either pool across `std::thread` workers for multi-core batch
-//! stepping (sessions are independent, so sharded results are identical
-//! to single-threaded stepping).
+//! stepped with no per-event allocation. They are single-threaded by
+//! design; sharding and worker threads belong to the serving
+//! `stategen-runtime` crate.
 //!
 //! ## Example
 //!
@@ -183,9 +182,7 @@ pub use machine::{
     Action, MessageId, State, StateId, StateMachine, StateMachineBuilder, StateRole, Transition,
 };
 pub use model::{AbstractModel, Outcome, TransitionSpec};
-pub use session::{
-    BatchEngine, EfsmSessionPool, ParkedWorkers, SessionPool, ShardedPool, StealingWorkers,
-};
+pub use session::{EfsmSessionPool, FinishedSet, SessionPool};
 pub use validate::{
     missing_transitions, structural_diagnostics, validate_machine, ValidationReport,
 };

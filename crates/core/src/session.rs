@@ -20,11 +20,10 @@
 //! struct-of-arrays next to the state ids, and one parameter binding is
 //! shared by the whole pool.
 //!
-//! Sessions are independent, so pools scale across cores:
-//! [`ShardedPool`] partitions sessions over any [`BatchEngine`] shards
-//! (each with its own scratch buffers) and steps them on `std::thread`
-//! workers, with results identical to single-threaded stepping whatever
-//! the scheduling.
+//! Both pools are single-threaded: they are the scalar oracles the
+//! kernel-equivalence suites compare against. Serving many sessions on
+//! many cores is the job of `stategen-runtime`, whose `Runtime` owns its
+//! shards and drives them inline or on one work-stealing worker pool.
 //!
 //! # Examples
 //!
@@ -46,25 +45,24 @@
 //! assert!(pool.all_finished());
 //! ```
 
-use std::sync::{Condvar, Mutex};
-
 use crate::compiled::CompiledMachine;
 use crate::efsm_compiled::{CompiledEfsm, EfsmBinding};
 use crate::kernel::{dense_batch, efsm_batch, KernelScratch};
 use crate::machine::{Action, MessageId};
 
-/// Incrementally maintained finished-session bitset, shared by
-/// [`SessionPool`] and [`EfsmSessionPool`] so the word/bit arithmetic
-/// and the count bookkeeping live in exactly one place.
+/// Finished-session bitset: one bit per session slot plus a running
+/// count. Shared by [`SessionPool`], [`EfsmSessionPool`], the batch
+/// kernels and the `stategen-runtime` shards, so the word/bit
+/// arithmetic and the count bookkeeping live in exactly one place.
 #[derive(Debug, Clone, Default)]
-pub(crate) struct FinishedSet {
+pub struct FinishedSet {
     words: Vec<u64>,
     count: usize,
 }
 
 impl FinishedSet {
     /// An empty set with words preallocated for `sessions` sessions.
-    fn with_capacity(sessions: usize) -> Self {
+    pub(crate) fn with_capacity(sessions: usize) -> Self {
         FinishedSet {
             words: vec![0; sessions.div_ceil(64)],
             count: 0,
@@ -72,14 +70,19 @@ impl FinishedSet {
     }
 
     /// Ensures capacity for `sessions` sessions (amortised O(1)).
-    fn grow_for(&mut self, sessions: usize) {
+    pub fn grow_for(&mut self, sessions: usize) {
         let needed = sessions.div_ceil(64);
         if self.words.len() < needed {
             self.words.resize(needed, 0);
         }
     }
 
-    fn get(&self, session: usize) -> bool {
+    /// `true` if `session`'s bit is set.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `session` is beyond the set's capacity.
+    pub fn get(&self, session: usize) -> bool {
         self.words[session / 64] & (1 << (session % 64)) != 0
     }
 
@@ -108,8 +111,13 @@ impl FinishedSet {
         *w |= mask;
     }
 
+    /// Sets `session`'s bit.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `session` is beyond the set's capacity.
     #[inline]
-    fn set(&mut self, session: usize) {
+    pub fn set(&mut self, session: usize) {
         let word = session / 64;
         let bit = 1u64 << (session % 64);
         if self.words[word] & bit == 0 {
@@ -118,7 +126,12 @@ impl FinishedSet {
         }
     }
 
-    fn clear(&mut self, session: usize) {
+    /// Clears `session`'s bit.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `session` is beyond the set's capacity.
+    pub fn clear(&mut self, session: usize) {
         let word = session / 64;
         let bit = 1u64 << (session % 64);
         if self.words[word] & bit != 0 {
@@ -127,12 +140,29 @@ impl FinishedSet {
         }
     }
 
-    fn clear_all(&mut self) {
+    /// Clears every bit, keeping the capacity.
+    pub fn clear_all(&mut self) {
         self.words.fill(0);
         self.count = 0;
     }
 
-    fn count(&self) -> usize {
+    /// Recomputes every bit (and the count) from a state array: slot
+    /// `i` is set iff `states[i]` is a valid state id (below
+    /// `state_count`) and `is_finish` holds for it. Out-of-range ids —
+    /// such as a runtime's retired-slot sentinel — stay unset, and
+    /// `is_finish` is never called on them.
+    pub fn rebuild(&mut self, states: &[u32], state_count: usize, is_finish: impl Fn(u32) -> bool) {
+        self.clear_all();
+        self.grow_for(states.len());
+        for (session, &state) in states.iter().enumerate() {
+            if (state as usize) < state_count && is_finish(state) {
+                self.set(session);
+            }
+        }
+    }
+
+    /// Number of set bits (maintained incrementally; O(1)).
+    pub fn count(&self) -> usize {
         self.count
     }
 }
@@ -746,923 +776,6 @@ impl<'e> EfsmSessionPool<'e> {
     }
 }
 
-/// The batch-stepping interface shared by [`SessionPool`] and
-/// [`EfsmSessionPool`], used by [`ShardedPool`] to scale either across
-/// worker threads.
-pub trait BatchEngine {
-    /// Number of sessions in the engine.
-    fn session_count(&self) -> usize;
-
-    /// Dense state id of one session.
-    fn session_state(&self, session: usize) -> u32;
-
-    /// `true` once a session has finished.
-    fn session_finished(&self, session: usize) -> bool;
-
-    /// Delivers a message to every session; returns transitions taken.
-    fn deliver_all(&mut self, message: MessageId) -> u64;
-
-    /// Number of finished sessions.
-    fn finished_count(&self) -> usize;
-
-    /// Total transitions taken across all sessions.
-    fn steps(&self) -> u64;
-
-    /// Returns every session to the start state.
-    fn reset_all(&mut self);
-
-    /// Accumulates this engine's telemetry counters into `into`.
-    ///
-    /// The default is a no-op: plain pools carry no counter block, and
-    /// engines that do (the `stategen-runtime` shard) override this so
-    /// [`ShardedPool::metrics`] can merge per-shard counters on read
-    /// without knowing the shard type.
-    fn merge_metrics(&self, _into: &mut stategen_telemetry::MetricsSnapshot) {}
-}
-
-impl BatchEngine for SessionPool<'_> {
-    fn session_count(&self) -> usize {
-        self.len()
-    }
-
-    fn session_state(&self, session: usize) -> u32 {
-        self.state(session)
-    }
-
-    fn session_finished(&self, session: usize) -> bool {
-        self.is_finished(session)
-    }
-
-    fn deliver_all(&mut self, message: MessageId) -> u64 {
-        SessionPool::deliver_all(self, message)
-    }
-
-    fn finished_count(&self) -> usize {
-        SessionPool::finished_count(self)
-    }
-
-    fn steps(&self) -> u64 {
-        SessionPool::steps(self)
-    }
-
-    fn reset_all(&mut self) {
-        SessionPool::reset_all(self);
-    }
-}
-
-impl BatchEngine for EfsmSessionPool<'_> {
-    fn session_count(&self) -> usize {
-        self.len()
-    }
-
-    fn session_state(&self, session: usize) -> u32 {
-        self.state(session)
-    }
-
-    fn session_finished(&self, session: usize) -> bool {
-        self.is_finished(session)
-    }
-
-    fn deliver_all(&mut self, message: MessageId) -> u64 {
-        EfsmSessionPool::deliver_all(self, message)
-    }
-
-    fn finished_count(&self) -> usize {
-        EfsmSessionPool::finished_count(self)
-    }
-
-    fn steps(&self) -> u64 {
-        EfsmSessionPool::steps(self)
-    }
-
-    fn reset_all(&mut self) {
-        EfsmSessionPool::reset_all(self);
-    }
-}
-
-/// A pool of sessions sharded across worker threads.
-///
-/// Sessions are independent (no shard ever reads another shard's state)
-/// and each shard carries its own scratch buffers, so batch delivery
-/// parallelises embarrassingly: [`ShardedPool::deliver_all`] steps every
-/// shard on its own `std::thread` worker (scoped, so the shards may
-/// borrow their machine) and the result is bit-identical to stepping the
-/// same sessions in one pool, whatever the thread scheduling.
-///
-/// Shards are plain [`BatchEngine`] values — FSM pools, EFSM pools, or
-/// anything else that steps a session block. Sessions are numbered
-/// globally across shards in shard order, matching a single pool of the
-/// same total size split contiguously.
-///
-/// # Examples
-///
-/// ```
-/// use stategen_core::{Action, BatchEngine, CompiledMachine, SessionPool, ShardedPool,
-///     StateMachineBuilder};
-///
-/// let mut b = StateMachineBuilder::new("ping", ["ping"]);
-/// let idle = b.add_state("idle");
-/// let done = b.add_state_full("done", None, stategen_core::StateRole::Finish, vec![]);
-/// b.add_transition(idle, "ping", done, vec![Action::send("pong")]);
-/// let machine = b.build(idle);
-/// let compiled = CompiledMachine::compile(&machine);
-///
-/// let mut pool = ShardedPool::split(1000, 4, |len| SessionPool::new(&compiled, len));
-/// assert_eq!(pool.shard_count(), 4);
-/// let ping = compiled.message_id("ping").unwrap();
-/// assert_eq!(pool.deliver_all(ping), 1000);
-/// assert!(pool.all_finished());
-/// ```
-#[derive(Debug)]
-pub struct ShardedPool<P> {
-    shards: Vec<P>,
-}
-
-impl<P: BatchEngine> ShardedPool<P> {
-    /// Wraps pre-built shards.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shards` is empty.
-    pub fn new(shards: Vec<P>) -> Self {
-        assert!(!shards.is_empty(), "sharded pool needs at least one shard");
-        ShardedPool { shards }
-    }
-
-    /// Splits `sessions` across `shards` near-equal contiguous blocks,
-    /// building each shard with `make(block_len)`. Earlier shards take
-    /// the remainder, so shard sizes differ by at most one.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shards` is zero.
-    pub fn split(sessions: usize, shards: usize, mut make: impl FnMut(usize) -> P) -> Self {
-        assert!(shards > 0, "sharded pool needs at least one shard");
-        let base = sessions / shards;
-        let extra = sessions % shards;
-        let shards = (0..shards)
-            .map(|i| make(base + usize::from(i < extra)))
-            .collect();
-        ShardedPool::new(shards)
-    }
-
-    /// The shards, in session order.
-    pub fn shards(&self) -> &[P] {
-        &self.shards
-    }
-
-    /// Mutable access to the shards, in session order — for single-shard
-    /// operations between batch deliveries (e.g. the `stategen-runtime`
-    /// facade's per-session `deliver`, which routes a session-addressed
-    /// message to the shard that owns the slot).
-    pub fn shards_mut(&mut self) -> &mut [P] {
-        &mut self.shards
-    }
-
-    /// Number of shards (worker threads used per batch delivery).
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// Appends a shard at the end of the shard list (existing shard
-    /// indices — and any handles derived from them — stay valid). Used
-    /// by the `stategen-runtime` hot-swap machinery to add shards for
-    /// an incoming engine while existing shards drain.
-    pub fn push(&mut self, shard: P) {
-        self.shards.push(shard);
-    }
-
-    /// Total sessions across all shards.
-    pub fn len(&self) -> usize {
-        self.shards.iter().map(P::session_count).sum()
-    }
-
-    /// `true` if no shard holds any session.
-    pub fn is_empty(&self) -> bool {
-        self.shards.iter().all(|s| s.session_count() == 0)
-    }
-
-    /// Total finished sessions across all shards.
-    pub fn finished_count(&self) -> usize {
-        self.shards.iter().map(P::finished_count).sum()
-    }
-
-    /// `true` once every session in every shard has finished.
-    pub fn all_finished(&self) -> bool {
-        self.finished_count() == self.len()
-    }
-
-    /// Total transitions taken across all shards.
-    pub fn steps(&self) -> u64 {
-        self.shards.iter().map(P::steps).sum()
-    }
-
-    /// Merges every shard's telemetry counters into one snapshot (see
-    /// [`BatchEngine::merge_metrics`]). Shards are single-writer, so
-    /// this read-side merge needs no locks; pools without counters
-    /// contribute nothing.
-    pub fn metrics(&self) -> stategen_telemetry::MetricsSnapshot {
-        let mut merged = stategen_telemetry::MetricsSnapshot::default();
-        for shard in &self.shards {
-            shard.merge_metrics(&mut merged);
-        }
-        merged
-    }
-
-    /// Dense state id of a globally numbered session (shard blocks are
-    /// contiguous, in shard order).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `session` is out of range.
-    pub fn state(&self, mut session: usize) -> u32 {
-        for shard in &self.shards {
-            if session < shard.session_count() {
-                return shard.session_state(session);
-            }
-            session -= shard.session_count();
-        }
-        panic!("session out of range");
-    }
-
-    /// `true` once a globally numbered session has finished.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `session` is out of range.
-    pub fn is_finished(&self, mut session: usize) -> bool {
-        for shard in &self.shards {
-            if session < shard.session_count() {
-                return shard.session_finished(session);
-            }
-            session -= shard.session_count();
-        }
-        panic!("session out of range");
-    }
-
-    /// Returns every session in every shard to the start state.
-    pub fn reset_all(&mut self) {
-        for shard in &mut self.shards {
-            shard.reset_all();
-        }
-    }
-}
-
-impl<P: BatchEngine + Send> ShardedPool<P> {
-    /// Delivers a message to every session, one worker thread per shard;
-    /// returns the total number of transitions taken.
-    ///
-    /// With a single shard this degenerates to an in-place call (no
-    /// thread is spawned). Because shards never share session state and
-    /// each carries its own scratch buffers, the outcome is identical to
-    /// a single pool stepping the same sessions sequentially.
-    ///
-    /// Workers are scoped threads spawned per call — simple and safe
-    /// (shards may borrow their machine), but the spawn/join cost is
-    /// paid on every delivery, so sharding only wins once per-shard
-    /// batch work dwarfs ~10 µs of thread churn (tens of thousands of
-    /// sessions). For a *sequence* of batch deliveries, use
-    /// [`ShardedPool::with_workers`], which parks persistent workers on
-    /// a condvar and reuses them across calls.
-    pub fn deliver_all(&mut self, message: MessageId) -> u64 {
-        if self.shards.len() == 1 {
-            return self.shards[0].deliver_all(message);
-        }
-        std::thread::scope(|scope| {
-            let workers: Vec<_> = self
-                .shards
-                .iter_mut()
-                .map(|shard| scope.spawn(move || shard.deliver_all(message)))
-                .collect();
-            workers
-                .into_iter()
-                .map(|w| w.join().expect("shard worker panicked"))
-                .sum()
-        })
-    }
-
-    /// Runs `f` with persistent parked worker threads, one per shard.
-    ///
-    /// Each worker is spawned once, takes ownership of its shard's
-    /// `&mut` borrow for the duration of the call, and parks on a
-    /// condvar between batches — so a sequence of
-    /// [`ParkedWorkers::deliver_all`] calls pays one spawn/join total
-    /// instead of one per batch (the per-batch cost drops from thread
-    /// churn to a mutex/condvar handshake). Results are bit-identical
-    /// to [`ShardedPool::deliver_all`] and to a flat pool, whatever the
-    /// scheduling, because shards never share session state.
-    ///
-    /// While `f` runs, the shards are mutably borrowed by the workers,
-    /// so per-session queries go through the aggregate accessors on
-    /// [`ParkedWorkers`]; full per-session state is available again as
-    /// soon as `with_workers` returns.
-    ///
-    /// With a single shard no thread is spawned and the driver steps
-    /// the shard inline, mirroring [`ShardedPool::deliver_all`]'s
-    /// single-shard fast path.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use stategen_core::{Action, CompiledMachine, SessionPool, ShardedPool,
-    ///     StateMachineBuilder};
-    ///
-    /// let mut b = StateMachineBuilder::new("ping", ["ping"]);
-    /// let idle = b.add_state("idle");
-    /// let done = b.add_state_full("done", None, stategen_core::StateRole::Finish, vec![]);
-    /// b.add_transition(idle, "ping", done, vec![Action::send("pong")]);
-    /// let machine = b.build(idle);
-    /// let compiled = CompiledMachine::compile(&machine);
-    /// let ping = compiled.message_id("ping").unwrap();
-    ///
-    /// let mut pool = ShardedPool::split(1000, 4, |len| SessionPool::new(&compiled, len));
-    /// let transitions = pool.with_workers(|workers| {
-    ///     let t = workers.deliver_all(ping);
-    ///     assert_eq!(workers.finished_count(), 1000);
-    ///     t + workers.deliver_all(ping) // finished sessions absorb
-    /// });
-    /// assert_eq!(transitions, 1000);
-    /// assert!(pool.all_finished());
-    /// ```
-    pub fn with_workers<R>(&mut self, f: impl FnOnce(&mut ParkedWorkers<'_, P>) -> R) -> R {
-        if let [only] = self.shards.as_mut_slice() {
-            return f(&mut ParkedWorkers {
-                inner: WorkersImpl::Inline(only),
-            });
-        }
-        let cells: Vec<WorkerCell> = self.shards.iter().map(|_| WorkerCell::new()).collect();
-        std::thread::scope(|scope| {
-            for (shard, cell) in self.shards.iter_mut().zip(&cells) {
-                scope.spawn(move || worker_loop(shard, cell));
-            }
-            let mut workers = ParkedWorkers {
-                inner: WorkersImpl::Parked {
-                    cells: &cells,
-                    seq: 0,
-                },
-            };
-            // Shutdown is published by `ParkedWorkers`'s `Drop`, so it
-            // reaches the workers even when `f` unwinds — otherwise the
-            // scope would join workers parked forever on the condvar.
-            f(&mut workers)
-        })
-    }
-
-    /// Runs `f` with `workers` persistent work-stealing threads over
-    /// the shards — the multi-core layer for `shard_count > workers`.
-    ///
-    /// Unlike [`ShardedPool::with_workers`] (one thread pinned per
-    /// shard), each stealing worker owns a deque holding a contiguous
-    /// region of shard indices; it drains its own deque from the front
-    /// and, when that runs dry, steals shards from the backs of the
-    /// other workers' deques. Uneven shards therefore balance
-    /// automatically, and a machine with fewer cores than shards isn't
-    /// oversubscribed. Each shard sits behind a mutex and is claimed by
-    /// exactly one worker per batch, so results are bit-identical to
-    /// [`ShardedPool::deliver_all`] and to a flat pool regardless of
-    /// which worker ends up stepping which shard.
-    ///
-    /// With one worker (or one shard) no thread is spawned and the
-    /// driver steps the shards inline.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `workers` is zero.
-    pub fn with_stealing_workers<R>(
-        &mut self,
-        workers: usize,
-        f: impl FnOnce(&mut StealingWorkers<'_, P>) -> R,
-    ) -> R {
-        assert!(workers > 0, "need at least one stealing worker");
-        let workers = workers.min(self.shards.len());
-        if workers == 1 {
-            return f(&mut StealingWorkers {
-                inner: StealingImpl::Inline(&mut self.shards),
-            });
-        }
-        // Contiguous shard regions per worker, earlier workers taking
-        // the remainder (mirrors `ShardedPool::split`).
-        let base = self.shards.len() / workers;
-        let extra = self.shards.len() % workers;
-        let mut next = 0;
-        let queues: Vec<ShardDeque> = (0..workers)
-            .map(|w| {
-                let start = next;
-                next += base + usize::from(w < extra);
-                ShardDeque::new(start, next)
-            })
-            .collect();
-        let slots: Vec<Mutex<&mut P>> = self.shards.iter_mut().map(Mutex::new).collect();
-        let cells: Vec<WorkerCell> = (0..workers).map(|_| WorkerCell::new()).collect();
-        std::thread::scope(|scope| {
-            let (slots, queues) = (&slots, &queues);
-            for (index, cell) in cells.iter().enumerate() {
-                scope.spawn(move || stealing_worker_loop(index, slots, queues, cell));
-            }
-            let mut workers = StealingWorkers {
-                inner: StealingImpl::Parked {
-                    cells: &cells,
-                    queues,
-                    seq: 0,
-                },
-            };
-            // Shutdown is published by `StealingWorkers`'s `Drop`, so
-            // it reaches the workers even when `f` unwinds.
-            f(&mut workers)
-        })
-    }
-}
-
-/// What a parked shard worker should do next.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum WorkerCommand {
-    /// Park until the first real command arrives.
-    Park,
-    /// Deliver a message to every session in the shard.
-    Deliver(MessageId),
-    /// Return every session in the shard to the start state.
-    Reset,
-    /// Exit the worker loop.
-    Shutdown,
-}
-
-/// Per-worker mailbox: the driver publishes commands under the mutex
-/// and the worker publishes completions, both signalling the condvar.
-#[derive(Debug)]
-struct WorkerMailbox {
-    /// Sequence number of the latest published command; the worker runs
-    /// whenever it exceeds the last sequence it completed.
-    seq: u64,
-    command: WorkerCommand,
-    /// Last sequence the worker finished executing.
-    done: u64,
-    /// Set when the worker dies abnormally (its shard panicked), so the
-    /// driver fails fast instead of waiting forever.
-    dead: bool,
-    /// Results of that execution, so the driver can aggregate without
-    /// touching the shard.
-    transitions: u64,
-    finished: usize,
-    steps: u64,
-}
-
-#[derive(Debug)]
-struct WorkerCell {
-    mailbox: Mutex<WorkerMailbox>,
-    signal: Condvar,
-}
-
-impl WorkerCell {
-    fn new() -> Self {
-        WorkerCell {
-            mailbox: Mutex::new(WorkerMailbox {
-                seq: 0,
-                command: WorkerCommand::Park,
-                done: 0,
-                dead: false,
-                transitions: 0,
-                finished: 0,
-                steps: 0,
-            }),
-            signal: Condvar::new(),
-        }
-    }
-}
-
-/// Marks the worker's mailbox dead if the worker unwinds (its shard
-/// panicked mid-command), waking the driver so it fails fast instead of
-/// waiting on a completion that will never come.
-struct WorkerDeathNotice<'a> {
-    cell: &'a WorkerCell,
-    clean_exit: bool,
-}
-
-impl Drop for WorkerDeathNotice<'_> {
-    fn drop(&mut self) {
-        if !self.clean_exit {
-            if let Ok(mut mailbox) = self.cell.mailbox.lock() {
-                mailbox.dead = true;
-            }
-            self.cell.signal.notify_all();
-        }
-    }
-}
-
-/// The loop run by each persistent shard worker: park on the condvar
-/// until a new command sequence appears, execute it against the owned
-/// shard, publish the results, repeat until shutdown.
-fn worker_loop<P: BatchEngine>(shard: &mut P, cell: &WorkerCell) {
-    let mut notice = WorkerDeathNotice {
-        cell,
-        clean_exit: false,
-    };
-    let mut seen = 0u64;
-    loop {
-        let command = {
-            let mut mailbox = cell.mailbox.lock().expect("worker mailbox poisoned");
-            while mailbox.seq == seen {
-                mailbox = cell.signal.wait(mailbox).expect("worker mailbox poisoned");
-            }
-            seen = mailbox.seq;
-            mailbox.command
-        };
-        let transitions = match command {
-            WorkerCommand::Deliver(message) => shard.deliver_all(message),
-            WorkerCommand::Reset => {
-                shard.reset_all();
-                0
-            }
-            WorkerCommand::Park | WorkerCommand::Shutdown => 0,
-        };
-        {
-            let mut mailbox = cell.mailbox.lock().expect("worker mailbox poisoned");
-            mailbox.transitions = transitions;
-            mailbox.finished = shard.finished_count();
-            mailbox.steps = shard.steps();
-            mailbox.done = seen;
-        }
-        cell.signal.notify_all();
-        if command == WorkerCommand::Shutdown {
-            notice.clean_exit = true;
-            return;
-        }
-    }
-}
-
-/// How a [`ParkedWorkers`] driver reaches its shards: condvar-parked
-/// worker threads, or (single-shard fast path) the shard itself.
-#[derive(Debug)]
-enum WorkersImpl<'a, P> {
-    Parked { cells: &'a [WorkerCell], seq: u64 },
-    Inline(&'a mut P),
-}
-
-/// Driver handle for a [`ShardedPool`]'s persistent parked workers (see
-/// [`ShardedPool::with_workers`]). Each batch operation publishes one
-/// command to every worker mailbox and waits for all completions; with
-/// a single shard the driver steps it inline instead.
-#[derive(Debug)]
-pub struct ParkedWorkers<'a, P> {
-    inner: WorkersImpl<'a, P>,
-}
-
-impl<P: BatchEngine> ParkedWorkers<'_, P> {
-    /// Publishes `command` to every worker and waits for completion;
-    /// returns the summed per-shard transition counts.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a worker died (its shard panicked mid-command) —
-    /// mirroring the scoped path's `join().expect`; the panic unwinds
-    /// through `with_workers`, whose shutdown-on-drop releases the
-    /// remaining workers, and the worker's own panic is surfaced by the
-    /// thread scope.
-    fn broadcast(&mut self, command: WorkerCommand) -> u64 {
-        let (cells, seq) = match &mut self.inner {
-            WorkersImpl::Inline(shard) => {
-                return match command {
-                    WorkerCommand::Deliver(message) => shard.deliver_all(message),
-                    WorkerCommand::Reset => {
-                        shard.reset_all();
-                        0
-                    }
-                    WorkerCommand::Park | WorkerCommand::Shutdown => 0,
-                };
-            }
-            WorkersImpl::Parked { cells, seq } => (*cells, seq),
-        };
-        *seq += 1;
-        let seq = *seq;
-        for cell in cells {
-            let mut mailbox = cell.mailbox.lock().expect("worker mailbox poisoned");
-            mailbox.command = command;
-            mailbox.seq = seq;
-            drop(mailbox);
-            cell.signal.notify_all();
-        }
-        let mut transitions = 0;
-        for cell in cells {
-            let mut mailbox = cell.mailbox.lock().expect("worker mailbox poisoned");
-            while mailbox.done < seq {
-                assert!(!mailbox.dead, "shard worker panicked");
-                mailbox = cell.signal.wait(mailbox).expect("worker mailbox poisoned");
-            }
-            transitions += mailbox.transitions;
-        }
-        transitions
-    }
-
-    /// Number of workers driving the pool (= shards; 1 means the
-    /// inline fast path, with no thread behind it).
-    pub fn worker_count(&self) -> usize {
-        match &self.inner {
-            WorkersImpl::Parked { cells, .. } => cells.len(),
-            WorkersImpl::Inline(_) => 1,
-        }
-    }
-
-    /// Delivers a message to every session across all shards on the
-    /// parked workers; returns the total number of transitions taken.
-    pub fn deliver_all(&mut self, message: MessageId) -> u64 {
-        self.broadcast(WorkerCommand::Deliver(message))
-    }
-
-    /// Returns every session in every shard to the start state.
-    pub fn reset_all(&mut self) {
-        self.broadcast(WorkerCommand::Reset);
-    }
-
-    /// Total finished sessions, as reported by each worker after its
-    /// most recent command (0 before the first command).
-    pub fn finished_count(&self) -> usize {
-        match &self.inner {
-            WorkersImpl::Parked { cells, .. } => cells
-                .iter()
-                .map(|c| c.mailbox.lock().expect("worker mailbox poisoned").finished)
-                .sum(),
-            WorkersImpl::Inline(shard) => shard.finished_count(),
-        }
-    }
-
-    /// Total transitions taken across all shards, as reported by each
-    /// worker after its most recent command (0 before the first).
-    pub fn steps(&self) -> u64 {
-        match &self.inner {
-            WorkersImpl::Parked { cells, .. } => cells
-                .iter()
-                .map(|c| c.mailbox.lock().expect("worker mailbox poisoned").steps)
-                .sum(),
-            WorkersImpl::Inline(shard) => shard.steps(),
-        }
-    }
-}
-
-impl<P> Drop for ParkedWorkers<'_, P> {
-    /// Publishes shutdown to every worker without waiting (the thread
-    /// scope does the joining). Running this from `Drop` — rather than
-    /// on `with_workers`' return path — means an unwinding closure
-    /// still releases the parked workers instead of deadlocking the
-    /// scope's implicit join.
-    fn drop(&mut self) {
-        if let WorkersImpl::Parked { cells, seq } = &mut self.inner {
-            *seq += 1;
-            for cell in *cells {
-                if let Ok(mut mailbox) = cell.mailbox.lock() {
-                    mailbox.command = WorkerCommand::Shutdown;
-                    mailbox.seq = *seq;
-                }
-                cell.signal.notify_all();
-            }
-        }
-    }
-}
-
-/// One worker's deque of shard work items for a work-stealing batch:
-/// the owner drains its contiguous region from the front, idle workers
-/// steal from the back. Refilled by the driver before each command, so
-/// the steady-state batch path never allocates (the `VecDeque` keeps
-/// its capacity across refills).
-#[derive(Debug)]
-struct ShardDeque {
-    /// The contiguous shard-index region this deque is refilled with.
-    start: usize,
-    end: usize,
-    items: Mutex<std::collections::VecDeque<usize>>,
-}
-
-impl ShardDeque {
-    fn new(start: usize, end: usize) -> Self {
-        ShardDeque {
-            start,
-            end,
-            items: Mutex::new(std::collections::VecDeque::with_capacity(end - start)),
-        }
-    }
-
-    /// Refills the deque with its shard region (driver side, workers
-    /// parked). Clearing keeps capacity, so no allocation after
-    /// construction.
-    fn refill(&self) {
-        let mut items = self.items.lock().expect("shard deque poisoned");
-        items.clear();
-        items.extend(self.start..self.end);
-    }
-
-    /// Owner pop: next shard from the front of the deque.
-    fn pop_own(&self) -> Option<usize> {
-        self.items.lock().expect("shard deque poisoned").pop_front()
-    }
-
-    /// Thief pop: a shard from the back of the deque.
-    fn steal(&self) -> Option<usize> {
-        self.items.lock().expect("shard deque poisoned").pop_back()
-    }
-}
-
-/// The loop run by each work-stealing worker: park until a command
-/// sequence appears, then drain the own deque front-to-back and steal
-/// from the other workers' deque backs until every deque is dry.
-///
-/// Exclusive shard access is enforced at runtime: a shard index is
-/// claimed by exactly one worker (deque pops are atomic under the deque
-/// mutex) and the shard itself sits behind its own mutex in `slots`, so
-/// the borrow handed to `deliver_all` is unique. Because every shard is
-/// processed exactly once per command and shards never share session
-/// state, results are bit-identical to sequential stepping whichever
-/// worker ends up running which shard.
-fn stealing_worker_loop<P: BatchEngine>(
-    index: usize,
-    slots: &[Mutex<&mut P>],
-    queues: &[ShardDeque],
-    cell: &WorkerCell,
-) {
-    let mut notice = WorkerDeathNotice {
-        cell,
-        clean_exit: false,
-    };
-    let mut seen = 0u64;
-    loop {
-        let command = {
-            let mut mailbox = cell.mailbox.lock().expect("worker mailbox poisoned");
-            while mailbox.seq == seen {
-                mailbox = cell.signal.wait(mailbox).expect("worker mailbox poisoned");
-            }
-            seen = mailbox.seq;
-            mailbox.command
-        };
-        let mut transitions = 0u64;
-        let mut finished = 0usize;
-        let mut steps = 0u64;
-        if matches!(command, WorkerCommand::Deliver(_) | WorkerCommand::Reset) {
-            // Own deque first; steal from the other deques' backs once
-            // it runs dry.
-            while let Some(shard) = queues[index].pop_own().or_else(|| {
-                (1..queues.len()).find_map(|k| queues[(index + k) % queues.len()].steal())
-            }) {
-                let mut shard = slots[shard].lock().expect("shard slot poisoned");
-                match command {
-                    WorkerCommand::Deliver(message) => transitions += shard.deliver_all(message),
-                    WorkerCommand::Reset => shard.reset_all(),
-                    WorkerCommand::Park | WorkerCommand::Shutdown => unreachable!(),
-                }
-                finished += shard.finished_count();
-                steps += shard.steps();
-            }
-        }
-        {
-            let mut mailbox = cell.mailbox.lock().expect("worker mailbox poisoned");
-            mailbox.transitions = transitions;
-            mailbox.finished = finished;
-            mailbox.steps = steps;
-            mailbox.done = seen;
-        }
-        cell.signal.notify_all();
-        if command == WorkerCommand::Shutdown {
-            notice.clean_exit = true;
-            return;
-        }
-    }
-}
-
-/// How a [`StealingWorkers`] driver reaches its shards: parked stealing
-/// workers, or (single-worker fast path) the shard slice itself.
-#[derive(Debug)]
-enum StealingImpl<'a, P> {
-    Parked {
-        cells: &'a [WorkerCell],
-        queues: &'a [ShardDeque],
-        seq: u64,
-    },
-    Inline(&'a mut [P]),
-}
-
-/// Driver handle for a [`ShardedPool`]'s work-stealing persistent
-/// workers (see [`ShardedPool::with_stealing_workers`]): fewer workers
-/// than shards, each owning a deque of shard work items and stealing
-/// from the others' deques when its own runs dry.
-#[derive(Debug)]
-pub struct StealingWorkers<'a, P> {
-    inner: StealingImpl<'a, P>,
-}
-
-impl<P: BatchEngine> StealingWorkers<'_, P> {
-    /// Refills every deque, publishes `command` to every worker and
-    /// waits for completion; returns the summed transition counts.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a worker died (its shard panicked mid-command), like
-    /// [`ShardedPool::with_workers`]'s driver.
-    fn broadcast(&mut self, command: WorkerCommand) -> u64 {
-        let (cells, queues, seq) = match &mut self.inner {
-            StealingImpl::Inline(shards) => {
-                let mut transitions = 0;
-                for shard in shards.iter_mut() {
-                    match command {
-                        WorkerCommand::Deliver(message) => {
-                            transitions += shard.deliver_all(message);
-                        }
-                        WorkerCommand::Reset => shard.reset_all(),
-                        WorkerCommand::Park | WorkerCommand::Shutdown => {}
-                    }
-                }
-                return transitions;
-            }
-            StealingImpl::Parked { cells, queues, seq } => (*cells, *queues, seq),
-        };
-        // Refill the work deques before the command becomes visible —
-        // workers only touch deques after observing the new sequence.
-        if matches!(command, WorkerCommand::Deliver(_) | WorkerCommand::Reset) {
-            for queue in queues {
-                queue.refill();
-            }
-        }
-        *seq += 1;
-        let seq = *seq;
-        for cell in cells {
-            let mut mailbox = cell.mailbox.lock().expect("worker mailbox poisoned");
-            mailbox.command = command;
-            mailbox.seq = seq;
-            drop(mailbox);
-            cell.signal.notify_all();
-        }
-        let mut transitions = 0;
-        for cell in cells {
-            let mut mailbox = cell.mailbox.lock().expect("worker mailbox poisoned");
-            while mailbox.done < seq {
-                assert!(!mailbox.dead, "shard worker panicked");
-                mailbox = cell.signal.wait(mailbox).expect("worker mailbox poisoned");
-            }
-            transitions += mailbox.transitions;
-        }
-        transitions
-    }
-
-    /// Number of stealing workers (1 means the inline fast path).
-    pub fn worker_count(&self) -> usize {
-        match &self.inner {
-            StealingImpl::Parked { cells, .. } => cells.len(),
-            StealingImpl::Inline(_) => 1,
-        }
-    }
-
-    /// Delivers a message to every session across all shards; returns
-    /// the total number of transitions taken. Bit-identical to
-    /// [`ShardedPool::deliver_all`] and to a flat pool, whichever
-    /// worker steals which shard.
-    pub fn deliver_all(&mut self, message: MessageId) -> u64 {
-        self.broadcast(WorkerCommand::Deliver(message))
-    }
-
-    /// Returns every session in every shard to the start state.
-    pub fn reset_all(&mut self) {
-        self.broadcast(WorkerCommand::Reset);
-    }
-
-    /// Total finished sessions, as aggregated by the workers over the
-    /// shards each processed during the most recent command (0 before
-    /// the first command).
-    pub fn finished_count(&self) -> usize {
-        match &self.inner {
-            StealingImpl::Parked { cells, .. } => cells
-                .iter()
-                .map(|c| c.mailbox.lock().expect("worker mailbox poisoned").finished)
-                .sum(),
-            StealingImpl::Inline(shards) => shards.iter().map(|s| s.finished_count()).sum(),
-        }
-    }
-
-    /// Total transitions taken across all shards, aggregated like
-    /// [`StealingWorkers::finished_count`].
-    pub fn steps(&self) -> u64 {
-        match &self.inner {
-            StealingImpl::Parked { cells, .. } => cells
-                .iter()
-                .map(|c| c.mailbox.lock().expect("worker mailbox poisoned").steps)
-                .sum(),
-            StealingImpl::Inline(shards) => shards.iter().map(|s| s.steps()).sum(),
-        }
-    }
-}
-
-impl<P> Drop for StealingWorkers<'_, P> {
-    /// Publishes shutdown without waiting, exactly like
-    /// [`ParkedWorkers`]'s drop, so an unwinding closure still releases
-    /// the parked workers.
-    fn drop(&mut self) {
-        if let StealingImpl::Parked { cells, seq, .. } = &mut self.inner {
-            *seq += 1;
-            for cell in *cells {
-                if let Ok(mut mailbox) = cell.mailbox.lock() {
-                    mailbox.command = WorkerCommand::Shutdown;
-                    mailbox.seq = *seq;
-                }
-                cell.signal.notify_all();
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1877,186 +990,5 @@ mod tests {
             assert_eq!(pool.state(0), single.current_state());
             assert_eq!(pool.vars(0), single.vars());
         }
-    }
-
-    #[test]
-    fn sharded_pool_matches_single_pool() {
-        let m = finishing_machine();
-        let compiled = CompiledMachine::compile(&m);
-        let a = compiled.message_id("a").unwrap();
-        let b = compiled.message_id("b").unwrap();
-        let mut single = SessionPool::new(&compiled, 103);
-        let mut sharded = ShardedPool::split(103, 4, |len| SessionPool::new(&compiled, len));
-        assert_eq!(sharded.len(), 103);
-        assert_eq!(sharded.shard_count(), 4);
-        assert!(!sharded.is_empty());
-        for &mid in &[a, b, a, a, b] {
-            let t_single = single.deliver_all(mid);
-            let t_sharded = sharded.deliver_all(mid);
-            assert_eq!(t_single, t_sharded);
-            assert_eq!(single.finished_count(), sharded.finished_count());
-            assert_eq!(single.steps(), sharded.steps());
-            for s in 0..single.len() {
-                assert_eq!(single.state(s), sharded.state(s), "session {s}");
-                assert_eq!(single.is_finished(s), sharded.is_finished(s), "session {s}");
-            }
-        }
-        assert!(sharded.all_finished());
-        sharded.reset_all();
-        assert_eq!(sharded.finished_count(), 0);
-        assert_eq!(sharded.steps(), 0);
-    }
-
-    #[test]
-    fn sharded_pool_over_efsm_shards() {
-        let efsm = counter_efsm();
-        let compiled = CompiledEfsm::compile(&efsm).unwrap();
-        let tick = compiled.message_id("tick").unwrap();
-        let mut sharded =
-            ShardedPool::split(64, 2, |len| EfsmSessionPool::new(&compiled, vec![2], len));
-        assert_eq!(sharded.deliver_all(tick), 64);
-        assert_eq!(sharded.finished_count(), 0);
-        assert_eq!(sharded.deliver_all(tick), 64);
-        assert!(sharded.all_finished());
-        assert_eq!(sharded.shards()[0].vars(0), &[2]);
-    }
-
-    #[test]
-    fn single_shard_steps_in_place() {
-        let m = finishing_machine();
-        let compiled = CompiledMachine::compile(&m);
-        let a = compiled.message_id("a").unwrap();
-        let mut sharded = ShardedPool::split(10, 1, |len| SessionPool::new(&compiled, len));
-        assert_eq!(sharded.shard_count(), 1);
-        assert_eq!(sharded.deliver_all(a), 10);
-        assert_eq!(sharded.state(9), sharded.shards()[0].state(9));
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one shard")]
-    fn empty_shard_list_panics() {
-        let _ = ShardedPool::<SessionPool<'_>>::new(Vec::new());
-    }
-
-    #[test]
-    fn parked_workers_match_flat_pool() {
-        let m = finishing_machine();
-        let compiled = CompiledMachine::compile(&m);
-        let a = compiled.message_id("a").unwrap();
-        let b = compiled.message_id("b").unwrap();
-        let mut flat = SessionPool::new(&compiled, 103);
-        let mut sharded = ShardedPool::split(103, 4, |len| SessionPool::new(&compiled, len));
-        sharded.with_workers(|workers| {
-            assert_eq!(workers.worker_count(), 4);
-            for &mid in &[a, b, a, a, b] {
-                let t_flat = flat.deliver_all(mid);
-                assert_eq!(workers.deliver_all(mid), t_flat);
-                assert_eq!(workers.finished_count(), flat.finished_count());
-                assert_eq!(workers.steps(), flat.steps());
-            }
-        });
-        // Full per-session state is back once the workers have parked.
-        assert!(sharded.all_finished());
-        for s in 0..flat.len() {
-            assert_eq!(flat.state(s), sharded.state(s), "session {s}");
-        }
-    }
-
-    #[test]
-    fn parked_workers_reset_and_reuse() {
-        let m = finishing_machine();
-        let compiled = CompiledMachine::compile(&m);
-        let a = compiled.message_id("a").unwrap();
-        let mut sharded = ShardedPool::split(70, 3, |len| SessionPool::new(&compiled, len));
-        let total = sharded.with_workers(|workers| {
-            let mut total = 0;
-            for _ in 0..3 {
-                total += workers.deliver_all(a);
-                total += workers.deliver_all(a);
-                assert_eq!(workers.finished_count(), 70);
-                workers.reset_all();
-                assert_eq!(workers.finished_count(), 0);
-                assert_eq!(workers.steps(), 0);
-            }
-            total
-        });
-        assert_eq!(total, 3 * 2 * 70);
-        assert_eq!(sharded.finished_count(), 0);
-        assert_eq!(sharded.shards()[0].state_name(0), "s0");
-    }
-
-    #[test]
-    fn with_workers_returns_closure_value() {
-        let m = finishing_machine();
-        let compiled = CompiledMachine::compile(&m);
-        let a = compiled.message_id("a").unwrap();
-        let mut sharded = ShardedPool::split(1, 1, |len| SessionPool::new(&compiled, len));
-        let echoed = sharded.with_workers(|workers| workers.deliver_all(a) + 41);
-        assert_eq!(echoed, 42);
-    }
-
-    #[test]
-    fn with_workers_propagates_closure_panic_without_hanging() {
-        let m = finishing_machine();
-        let compiled = CompiledMachine::compile(&m);
-        let a = compiled.message_id("a").unwrap();
-        let mut sharded = ShardedPool::split(20, 3, |len| SessionPool::new(&compiled, len));
-        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            sharded.with_workers(|workers| {
-                workers.deliver_all(a);
-                panic!("closure failed mid-batch");
-            })
-        }));
-        // The shutdown-on-drop releases the parked workers, so the
-        // panic propagates instead of deadlocking the scope's join.
-        let payload = unwound.unwrap_err();
-        let message = payload.downcast_ref::<&str>().copied().unwrap_or_default();
-        assert_eq!(message, "closure failed mid-batch");
-        // The pool is usable again afterwards.
-        assert_eq!(sharded.deliver_all(a), 20);
-    }
-
-    /// A shard that panics on its second batch, to exercise the
-    /// worker-death path.
-    struct FaultyShard {
-        batches: u32,
-    }
-
-    impl BatchEngine for FaultyShard {
-        fn session_count(&self) -> usize {
-            1
-        }
-        fn session_state(&self, _session: usize) -> u32 {
-            0
-        }
-        fn session_finished(&self, _session: usize) -> bool {
-            false
-        }
-        fn deliver_all(&mut self, _message: MessageId) -> u64 {
-            self.batches += 1;
-            assert!(self.batches < 2, "shard blew up");
-            1
-        }
-        fn finished_count(&self) -> usize {
-            0
-        }
-        fn steps(&self) -> u64 {
-            u64::from(self.batches)
-        }
-        fn reset_all(&mut self) {}
-    }
-
-    #[test]
-    #[should_panic(expected = "shard worker panicked")]
-    fn with_workers_fails_fast_when_a_shard_panics() {
-        let m = finishing_machine();
-        let compiled = CompiledMachine::compile(&m);
-        let a = compiled.message_id("a").unwrap();
-        let mut sharded =
-            ShardedPool::new(vec![FaultyShard { batches: 0 }, FaultyShard { batches: 0 }]);
-        sharded.with_workers(|workers| {
-            workers.deliver_all(a);
-            workers.deliver_all(a); // shard panics; driver must not hang
-        });
     }
 }

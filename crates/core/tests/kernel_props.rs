@@ -3,15 +3,15 @@
 //! scalar per-session walk (`deliver_all_scalar`) on both pool tiers —
 //! states, finished bits, transition totals, and the action streams a
 //! subsequent `deliver_all_with` observes — including under
-//! mid-sequence spawn/reset churn. Work-stealing workers are likewise
-//! pinned to flat-pool results.
+//! mid-sequence spawn/reset churn. (Sharding and worker threads live in
+//! `stategen-runtime`; its kernel properties pin them to flat results.)
 
 use proptest::prelude::*;
 
 use stategen_core::efsm::{CmpOp, EfsmBuilder, Guard, LinExpr, Update};
 use stategen_core::{
     generate, AbstractModel, Action, CompiledEfsm, CompiledMachine, Efsm, EfsmSessionPool, Outcome,
-    SessionPool, ShardedPool, StateComponent, StateSpace, StateVector,
+    SessionPool, StateComponent, StateSpace, StateVector,
 };
 
 // ---------------------------------------------------------------------
@@ -289,92 +289,5 @@ proptest! {
         prop_assert_eq!(seen_kernel, seen_scalar);
         prop_assert_eq!(kernel.states(), scalar.states());
         prop_assert_eq!(kernel.registers(), scalar.registers());
-    }
-}
-
-// ---------------------------------------------------------------------
-// Work stealing: fewer workers than shards, same answers.
-// ---------------------------------------------------------------------
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(96))]
-
-    /// Work-stealing workers are a pure scheduling change: for any
-    /// machine, session/shard/worker split and message sequence, the
-    /// stealing drive yields per-step transition counts, aggregate
-    /// finished/step totals and final per-session states identical to
-    /// one flat pool — whichever worker steals which shard.
-    #[test]
-    fn stealing_workers_are_deterministic(
-        model in two_counter(),
-        sessions in 1usize..150,
-        shards in 1usize..8,
-        workers in 1usize..5,
-        messages in prop::collection::vec(0usize..2, 0..48),
-    ) {
-        let g = generate(&model).expect("generates");
-        let compiled = CompiledMachine::compile(&g.machine);
-        let mut flat = SessionPool::new(&compiled, sessions);
-        let mut sharded =
-            ShardedPool::split(sessions, shards, |len| SessionPool::new(&compiled, len));
-        let checks: Result<(), TestCaseError> = sharded.with_stealing_workers(workers, |w| {
-            prop_assert!(w.worker_count() <= shards);
-            for (step, &mi) in messages.iter().enumerate() {
-                let name = if mi == 0 { "a" } else { "b" };
-                let mid = compiled.message_id(name).expect("declared message");
-                let t_flat = flat.deliver_all(mid);
-                prop_assert_eq!(w.deliver_all(mid), t_flat, "step {}", step);
-                prop_assert_eq!(w.finished_count(), flat.finished_count(), "step {}", step);
-                prop_assert_eq!(w.steps(), flat.steps(), "step {}", step);
-            }
-            Ok(())
-        });
-        checks?;
-        for s in 0..sessions {
-            prop_assert_eq!(flat.state(s), sharded.state(s), "session {}", s);
-            prop_assert_eq!(flat.is_finished(s), sharded.is_finished(s), "session {}", s);
-        }
-        prop_assert_eq!(flat.steps(), sharded.steps());
-    }
-
-    /// Same for the EFSM tier, where shards also carry registers: the
-    /// stealing drive leaves every session's registers identical to the
-    /// flat pool's.
-    #[test]
-    fn stealing_workers_match_flat_efsm_pool(
-        t in 1i64..6,
-        spill in any::<bool>(),
-        sessions in 1usize..150,
-        shards in 1usize..8,
-        workers in 1usize..5,
-        messages in prop::collection::vec(0usize..2, 0..48),
-    ) {
-        let efsm = threshold_efsm(spill);
-        let compiled = CompiledEfsm::compile(&efsm).expect("compiles");
-        let mut flat = EfsmSessionPool::new(&compiled, vec![t], sessions);
-        let mut sharded = ShardedPool::split(sessions, shards, |len| {
-            EfsmSessionPool::new(&compiled, vec![t], len)
-        });
-        let checks: Result<(), TestCaseError> = sharded.with_stealing_workers(workers, |w| {
-            for (step, &mi) in messages.iter().enumerate() {
-                let name = if mi == 0 { "a" } else { "b" };
-                let mid = compiled.message_id(name).expect("declared message");
-                let t_flat = flat.deliver_all(mid);
-                prop_assert_eq!(w.deliver_all(mid), t_flat, "step {}", step);
-            }
-            Ok(())
-        });
-        checks?;
-        let flat_regs: Vec<&[i64]> = (0..sessions).map(|s| flat.vars(s)).collect();
-        let mut offset = 0;
-        for shard in sharded.shards() {
-            for s in 0..shard.len() {
-                prop_assert_eq!(shard.state(s), flat.state(offset + s));
-                prop_assert_eq!(shard.vars(s), flat_regs[offset + s]);
-            }
-            offset += shard.len();
-        }
-        prop_assert_eq!(flat.steps(), sharded.steps());
-        prop_assert_eq!(flat.finished_count(), sharded.finished_count());
     }
 }

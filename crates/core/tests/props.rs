@@ -6,7 +6,7 @@ use proptest::prelude::*;
 use stategen_core::{
     generate, generate_with, merge_equivalent_states, prune_unreachable, validate_machine,
     AbstractModel, Action, CompiledMachine, FsmInstance, GenerateOptions, MergeStrategy, Outcome,
-    ProtocolEngine, SessionPool, ShardedPool, StateComponent, StateSpace, StateVector,
+    ProtocolEngine, SessionPool, StateComponent, StateSpace, StateVector,
 };
 
 // ---------------------------------------------------------------------
@@ -244,76 +244,5 @@ proptest! {
         let mut fsm = FsmInstance::new(&g.machine);
         let mut single = compiled.instance();
         prop_assert_eq!(fsm.deliver("zap").unwrap_err(), single.deliver("zap").unwrap_err());
-    }
-
-    /// Sharding a pool across worker threads is a pure layout decision:
-    /// for any machine, session count, shard count and message sequence,
-    /// the sharded pool's per-session states, finished flags, totals and
-    /// transition counts are identical to one flat pool stepping the
-    /// same sessions — whatever the thread scheduling.
-    #[test]
-    fn sharded_pool_is_deterministic(
-        model in two_counter(),
-        sessions in 1usize..150,
-        shards in 1usize..6,
-        messages in prop::collection::vec(0usize..2, 0..48),
-    ) {
-        let g = generate(&model).expect("generates");
-        let compiled = CompiledMachine::compile(&g.machine);
-        let mut flat = SessionPool::new(&compiled, sessions);
-        let mut sharded = ShardedPool::split(sessions, shards, |len| SessionPool::new(&compiled, len));
-        prop_assert_eq!(sharded.len(), sessions);
-        prop_assert_eq!(sharded.shard_count(), shards);
-        for (step, &mi) in messages.iter().enumerate() {
-            let name = if mi == 0 { "a" } else { "b" };
-            let mid = compiled.message_id(name).expect("declared message");
-            let t_flat = flat.deliver_all(mid);
-            let t_sharded = sharded.deliver_all(mid);
-            prop_assert_eq!(t_flat, t_sharded, "step {}", step);
-            prop_assert_eq!(flat.finished_count(), sharded.finished_count(), "step {}", step);
-            prop_assert_eq!(flat.steps(), sharded.steps(), "step {}", step);
-            for s in 0..sessions {
-                prop_assert_eq!(flat.state(s), sharded.state(s), "step {} session {}", step, s);
-                prop_assert_eq!(
-                    flat.is_finished(s), sharded.is_finished(s),
-                    "step {} session {}", step, s
-                );
-            }
-        }
-    }
-
-    /// Persistent parked workers are just a scheduling change: driving a
-    /// sharded pool through `with_workers` (workers kept alive across
-    /// `deliver_all` calls behind a condvar) yields per-step transition
-    /// counts, aggregate finished/step totals and final per-session
-    /// states identical to one flat pool stepping the same sessions.
-    #[test]
-    fn parked_workers_are_deterministic(
-        model in two_counter(),
-        sessions in 1usize..150,
-        shards in 1usize..6,
-        messages in prop::collection::vec(0usize..2, 0..48),
-    ) {
-        let g = generate(&model).expect("generates");
-        let compiled = CompiledMachine::compile(&g.machine);
-        let mut flat = SessionPool::new(&compiled, sessions);
-        let mut sharded = ShardedPool::split(sessions, shards, |len| SessionPool::new(&compiled, len));
-        let checks: Result<(), TestCaseError> = sharded.with_workers(|workers| {
-            for (step, &mi) in messages.iter().enumerate() {
-                let name = if mi == 0 { "a" } else { "b" };
-                let mid = compiled.message_id(name).expect("declared message");
-                let t_flat = flat.deliver_all(mid);
-                prop_assert_eq!(workers.deliver_all(mid), t_flat, "step {}", step);
-                prop_assert_eq!(workers.finished_count(), flat.finished_count(), "step {}", step);
-                prop_assert_eq!(workers.steps(), flat.steps(), "step {}", step);
-            }
-            Ok(())
-        });
-        checks?;
-        for s in 0..sessions {
-            prop_assert_eq!(flat.state(s), sharded.state(s), "session {}", s);
-            prop_assert_eq!(flat.is_finished(s), sharded.is_finished(s), "session {}", s);
-        }
-        prop_assert_eq!(flat.steps(), sharded.steps());
     }
 }

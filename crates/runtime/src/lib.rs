@@ -41,9 +41,10 @@
 //!   [`deliver_all`](Runtime::deliver_all), [`reset`](Runtime::reset),
 //!   [`release`](Runtime::release) and introspection, uniform across
 //!   every tier, with opt-in sharding ([`sharded`](Runtime::sharded))
-//!   and persistent parked workers
-//!   ([`with_workers`](Runtime::with_workers)) as *configuration*
-//!   rather than distinct types.
+//!   as *configuration* rather than a distinct type. A batch steps the
+//!   shards inline on the calling thread;
+//!   [`with_workers`](Runtime::with_workers) runs a batch sequence on
+//!   persistent work-stealing threads instead.
 //!
 //! Everything fallible returns the unified
 //! [`StategenError`], and sessions are addressed by the generational
@@ -183,12 +184,12 @@
 //! # let idle = b.add_state("idle");
 //! # b.add_transition(idle, "ping", idle, vec![]);
 //! # let engine = Engine::compile(Spec::machine(b.build(idle))).unwrap();
-//! let mut rt = engine.runtime().sharded(4);
+//! let mut rt = engine.runtime().sharded(8);
 //! rt.spawn_many(100_000);
 //! let ping = rt.message_id("ping").unwrap();
-//! rt.deliver_all(ping); // one scoped worker per shard
-//! rt.with_workers(|w| {
-//!     // parked persistent workers: reused across a batch sequence
+//! rt.deliver_all(ping); // steps the 8 shards inline, no thread
+//! rt.with_workers(4, |w| {
+//!     // 4 persistent work-stealing threads, reused across the sequence
 //!     for _ in 0..64 {
 //!         w.deliver_all(ping);
 //!     }
@@ -202,14 +203,14 @@ mod engine;
 mod runtime;
 mod spec;
 mod timer;
+mod workers;
 
 pub use engine::{Engine, Tier};
-pub use runtime::{
-    Runtime, RuntimeSnapshot, Session, SessionId, SessionSnapshot, Shard, SwapOutcome, Workers,
-};
+pub use runtime::{Runtime, RuntimeSnapshot, Session, SessionId, SessionSnapshot, SwapOutcome};
 pub use spec::Spec;
 pub use stategen_analysis::{Analysis, AnalysisConfig};
 pub use timer::TimerWheel;
+pub use workers::Workers;
 
 // The telemetry vocabulary, re-exported so deployment sites need only
 // this crate to read metrics and traces.

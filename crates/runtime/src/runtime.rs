@@ -1,14 +1,13 @@
 //! The serving facade: typed session handles over an owned engine.
 
 use std::borrow::Cow;
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::fmt::Write as _;
 use std::time::Instant;
 
 use stategen_core::{
-    Action, BatchEngine, CompiledEfsm, CompiledMachine, EfsmBinding, InterpError, KernelScratch,
-    MessageId, ParkedWorkers, ProtocolEngine, ShardedPool, StateRole, StategenError,
-    StealingWorkers, SwapError,
+    Action, CompiledEfsm, CompiledMachine, EfsmBinding, FinishedSet, InterpError, KernelScratch,
+    MessageId, ProtocolEngine, StateRole, StategenError, SwapError,
 };
 use stategen_telemetry::{
     FlightRecorder, LogHistogram, MetricsSnapshot, NoopObserver, RuntimeCounters, RuntimeObserver,
@@ -17,6 +16,7 @@ use stategen_telemetry::{
 
 use crate::engine::{Engine, EngineKind};
 use crate::timer::TimerWheel;
+use crate::workers::Workers;
 
 /// Sentinel state id marking a released (recycled, currently unowned)
 /// session slot. Slots in this state are skipped by batch delivery and
@@ -71,95 +71,31 @@ impl std::fmt::Debug for SessionId {
     }
 }
 
-/// Finished-session bitset, maintained *lazily*: the batch hot loop
-/// never touches it (a per-transition finish check costs ~25-50% of raw
-/// dispatch — measured by the `runtime_facade` gate), it only marks the
-/// set dirty; the single-session path keeps it incrementally current
-/// while clean; queries rebuild it from the state array on demand.
-/// Finish states are absorbing, so finished-ness is always derivable
-/// from the current state alone.
-#[derive(Debug, Clone, Default)]
-struct FinishedBits {
-    words: Vec<u64>,
-    count: usize,
-    /// Set when the bits may lag the state array (after a batch
-    /// delivery); cleared by [`FinishedBits::rebuild`].
-    dirty: bool,
-}
-
-impl FinishedBits {
-    fn grow_for(&mut self, slots: usize) {
-        let needed = slots.div_ceil(64);
-        if self.words.len() < needed {
-            self.words.resize(needed, 0);
-        }
-    }
-
-    /// Only meaningful while clean (callers sync first).
-    fn get(&self, slot: usize) -> bool {
-        self.words[slot / 64] & (1 << (slot % 64)) != 0
-    }
-
-    #[inline]
-    fn set(&mut self, slot: usize) {
-        let word = slot / 64;
-        let bit = 1u64 << (slot % 64);
-        if self.words[word] & bit == 0 {
-            self.words[word] |= bit;
-            self.count += 1;
-        }
-    }
-
-    fn clear(&mut self, slot: usize) {
-        let word = slot / 64;
-        let bit = 1u64 << (slot % 64);
-        if self.words[word] & bit != 0 {
-            self.words[word] &= !bit;
-            self.count -= 1;
-        }
-    }
-
-    fn clear_all(&mut self) {
-        self.words.fill(0);
-        self.count = 0;
-        self.dirty = false;
-    }
-
-    /// Recomputes every bit (and the count) from the state array,
-    /// clearing the dirty flag. Retired slots stay unset.
-    fn rebuild(&mut self, current: &[u32], is_finish: impl Fn(u32) -> bool) {
-        self.words.fill(0);
-        self.count = 0;
-        for (slot, &state) in current.iter().enumerate() {
-            if state != RETIRED && is_finish(state) {
-                self.words[slot / 64] |= 1 << (slot % 64);
-                self.count += 1;
-            }
-        }
-        self.dirty = false;
-    }
-}
-
 /// One shard of a [`Runtime`]: an owned block of session slots
 /// (struct-of-arrays: one dense `u32` state id, a generation counter
 /// and a finished bit per slot, plus the EFSM tiers' variable
-/// registers) stepping the shared engine.
-///
-/// Shards implement [`BatchEngine`], so the runtime scales them with
-/// the same scoped-worker / parked-worker machinery as the core pools;
-/// they are created and owned by [`Runtime`] and not constructed
-/// directly.
+/// registers) stepping the shared engine. The runtime steps its shards
+/// inline, or on the work-stealing threads of [`Runtime::with_workers`].
 #[derive(Debug, Clone)]
-pub struct Shard {
+pub(crate) struct Shard {
     kind: EngineKind,
     /// Dense state id per slot; [`RETIRED`] marks recycled slots.
     current: Vec<u32>,
     /// Per-slot generation, bumped when the slot is released.
     generations: Vec<u32>,
-    /// Lazily synced (see [`FinishedBits`]); `RefCell` so `&self`
-    /// queries can rebuild it on demand (shards are single-writer, so
-    /// the dynamic borrow never contends).
-    finished: RefCell<FinishedBits>,
+    /// Finished bit per slot, maintained *lazily*: the batch hot loop
+    /// never touches it (a per-transition finish check costs ~25-50% of
+    /// raw dispatch, measured by the `runtime_facade` gate), it only
+    /// sets `finished_dirty`; the single-slot paths keep it current
+    /// while clean, and queries rebuild it from the state array on
+    /// demand. Finish states are absorbing, so finished-ness is always
+    /// derivable from the current state alone. `RefCell` so `&self`
+    /// queries can rebuild it (shards are single-writer, so the dynamic
+    /// borrow never contends).
+    finished: RefCell<FinishedSet>,
+    /// Set when `finished` may lag `current` (after a batch delivery or
+    /// a restore); cleared by [`Shard::sync_finished`].
+    finished_dirty: Cell<bool>,
     /// Released slots awaiting respawn.
     free: Vec<u32>,
     /// Session-major EFSM variable registers (empty on other tiers).
@@ -212,7 +148,8 @@ impl Shard {
             kind,
             current: Vec::new(),
             generations: Vec::new(),
-            finished: RefCell::new(FinishedBits::default()),
+            finished: RefCell::new(FinishedSet::default()),
+            finished_dirty: Cell::new(false),
             free: Vec::new(),
             vars: Vec::new(),
             scratch,
@@ -268,11 +205,8 @@ impl Shard {
                 slot
             }
         };
-        if self.is_finish(start) {
-            let finished = self.finished.get_mut();
-            if !finished.dirty {
-                finished.set(slot as usize);
-            }
+        if self.is_finish(start) && !self.finished_dirty.get() {
+            self.finished.get_mut().set(slot as usize);
         }
         // A spawn keeps the pool lockstep only if it already was (at
         // the start state) or this is the pool's sole slot.
@@ -308,6 +242,7 @@ impl Shard {
             current,
             generations,
             finished,
+            finished_dirty,
             vars,
             scratch,
             n_regs,
@@ -345,11 +280,8 @@ impl Shard {
                     }
                     *steps += 1;
                     counters.add_transitions(1);
-                    if m.is_finish_state(target) {
-                        let finished = finished.get_mut();
-                        if !finished.dirty {
-                            finished.set(slot);
-                        }
+                    if m.is_finish_state(target) && !finished_dirty.get() {
+                        finished.get_mut().set(slot);
                     }
                     actions
                 }
@@ -366,11 +298,8 @@ impl Shard {
                         }
                         *steps += 1;
                         counters.add_transitions(1);
-                        if machine.is_finish_state(target) {
-                            let finished = finished.get_mut();
-                            if !finished.dirty {
-                                finished.set(slot);
-                            }
+                        if machine.is_finish_state(target) && !finished_dirty.get() {
+                            finished.get_mut().set(slot);
                         }
                         actions
                     }
@@ -392,11 +321,9 @@ impl Shard {
                         }
                         *steps += 1;
                         counters.add_transitions(1);
-                        if m.states()[target as usize].role() == StateRole::Finish {
-                            let finished = finished.get_mut();
-                            if !finished.dirty {
-                                finished.set(slot);
-                            }
+                        let finishes = m.states()[target as usize].role() == StateRole::Finish;
+                        if finishes && !finished_dirty.get() {
+                            finished.get_mut().set(slot);
                         }
                         t.actions()
                     }
@@ -421,8 +348,8 @@ impl Shard {
             None
         };
         self.vars[slot * self.n_regs..][..self.n_regs].fill(0);
-        let finished = self.finished.get_mut();
-        if !finished.dirty {
+        if !self.finished_dirty.get() {
+            let finished = self.finished.get_mut();
             finished.clear(slot);
             if start_finishes {
                 finished.set(slot);
@@ -440,9 +367,8 @@ impl Shard {
         } else {
             self.counters.inc_releases_aborted();
         }
-        let finished = self.finished.get_mut();
-        if !finished.dirty {
-            finished.clear(slot);
+        if !self.finished_dirty.get() {
+            self.finished.get_mut().clear(slot);
         }
         self.current[slot] = RETIRED;
         // A retired slot is never uniform with live ones.
@@ -491,23 +417,15 @@ impl Shard {
     /// Rebuilds the finished bitset from the state array if a batch
     /// delivery left it stale. O(slots) when dirty, O(1) when clean.
     fn sync_finished(&self) {
-        let mut finished = self.finished.borrow_mut();
-        if finished.dirty {
-            match &self.kind {
-                EngineKind::Interpreted(m) => {
-                    let states = m.states();
-                    finished.rebuild(&self.current, |s| {
-                        states[s as usize].role() == StateRole::Finish
-                    });
-                }
-                EngineKind::Compiled(m) => {
-                    finished.rebuild(&self.current, |s| m.is_finish_state(s));
-                }
-                EngineKind::Efsm { machine, .. } => {
-                    finished.rebuild(&self.current, |s| machine.is_finish_state(s));
-                }
-            }
+        if self.finished_dirty.get() {
+            self.rebuild_finished(&mut self.finished.borrow_mut());
+            self.finished_dirty.set(false);
         }
+    }
+
+    /// Recomputes `into` from the state array; retired slots stay unset.
+    fn rebuild_finished(&self, into: &mut FinishedSet) {
+        into.rebuild(&self.current, self.state_count(), |s| self.is_finish(s));
     }
 
     fn is_live_slot(&self, id: SessionId) -> bool {
@@ -580,9 +498,8 @@ impl Shard {
         shard.vars = snap.vars.clone();
         shard.free = snap.free.clone();
         shard.steps = snap.steps;
-        let finished = shard.finished.get_mut();
-        finished.grow_for(slots);
-        finished.dirty = true;
+        shard.finished.get_mut().grow_for(slots);
+        shard.finished_dirty.set(true);
         shard
     }
 
@@ -605,12 +522,11 @@ impl Shard {
         self.n_regs = n_regs;
         self.scratch = scratch;
         self.vars = vec![0; self.current.len() * n_regs];
-        let finished = self.finished.get_mut();
-        finished.clear_all();
-        finished.grow_for(self.current.len());
+        self.finished.get_mut().clear_all();
+        self.finished_dirty.set(false);
     }
 
-    /// The generic batch hot loop behind [`BatchEngine::deliver_all`].
+    /// The generic batch hot loop behind [`Shard::deliver_all`].
     ///
     /// Monomorphized per observer: with [`NoopObserver`] the
     /// `on_transition` call is an inlined empty body and the loop
@@ -618,7 +534,7 @@ impl Shard {
     /// benchmark row keeps gating it at ≤ 1.10× raw stepping with
     /// telemetry compiled in). With a [`FlightRecorder`] each
     /// transition additionally appends one fixed-size event to the
-    /// ring — the production observed path ([`BatchEngine::deliver_all`])
+    /// ring — the production observed path ([`Shard::deliver_all`])
     /// instead replays only the ring-sized tail after an unobserved
     /// pass, and a unit test pins the two paths to identical rings.
     fn deliver_batch<O: RuntimeObserver>(&mut self, message: MessageId, observer: &mut O) -> u64 {
@@ -789,13 +705,13 @@ impl Shard {
         counters.add_transitions(transitions);
         *steps += transitions;
         if transitions > 0 {
-            self.finished.get_mut().dirty = true;
+            self.finished_dirty.set(true);
         }
         transitions
     }
 
     /// Probes the flight-recorder tail of a batch *before* running it
-    /// (see [`BatchEngine::deliver_all`]).
+    /// (see [`Shard::deliver_all`]).
     ///
     /// A ring of capacity `c` only ever keeps a batch's *last* `c`
     /// transitions, and every engine tier is deterministic, so those
@@ -963,21 +879,6 @@ impl Shard {
             rec.record(event);
         }
     }
-}
-
-impl BatchEngine for Shard {
-    fn session_count(&self) -> usize {
-        self.current.len()
-    }
-
-    fn session_state(&self, session: usize) -> u32 {
-        self.current[session]
-    }
-
-    fn session_finished(&self, session: usize) -> bool {
-        self.sync_finished();
-        self.finished.borrow().get(session)
-    }
 
     /// The batch hot loop: a linear walk over the contiguous state (and
     /// register) arrays, skipping retired slots, with no allocation.
@@ -1003,7 +904,7 @@ impl BatchEngine for Shard {
     /// slot arrays and no event build inside the hot loop.
     /// `runtime_observed` benches this at ≤ 1.25× the unobserved
     /// facade.
-    fn deliver_all(&mut self, message: MessageId) -> u64 {
+    pub(crate) fn deliver_all(&mut self, message: MessageId) -> u64 {
         match self.recorder.take() {
             Some(mut rec) => {
                 self.capture_batch_tail(message, rec.capacity());
@@ -1016,22 +917,21 @@ impl BatchEngine for Shard {
         }
     }
 
-    fn merge_metrics(&self, into: &mut MetricsSnapshot) {
-        self.counters.merge_into(into);
-    }
-
-    fn finished_count(&self) -> usize {
+    /// Live finished sessions (rebuilds the finished set if a batch left
+    /// it stale).
+    pub(crate) fn finished_count(&self) -> usize {
         self.sync_finished();
-        self.finished.borrow().count
+        self.finished.borrow().count()
     }
 
-    fn steps(&self) -> u64 {
+    /// Total transitions taken in this shard.
+    pub(crate) fn steps(&self) -> u64 {
         self.steps
     }
 
     /// Returns every *live* slot to the start state; retired slots stay
     /// on the free list.
-    fn reset_all(&mut self) {
+    pub(crate) fn reset_all(&mut self) {
         self.counters.add_resets(self.live() as u64);
         let start = self.start_state();
         let start_finishes = self.is_finish(start);
@@ -1046,6 +946,7 @@ impl BatchEngine for Shard {
             None
         };
         self.vars.fill(0);
+        self.finished_dirty.set(false);
         let finished = self.finished.get_mut();
         finished.clear_all();
         if start_finishes {
@@ -1057,12 +958,75 @@ impl BatchEngine for Shard {
         }
         self.steps = 0;
     }
-}
 
-/// Persistent parked-worker driver for a sharded [`Runtime`] (see
-/// [`Runtime::with_workers`]): a batch *sequence* pays one thread
-/// spawn/join total instead of one per batch.
-pub type Workers<'a> = ParkedWorkers<'a, Shard>;
+    /// Verifies the shard's incrementally maintained invariants against
+    /// the slot arrays (see [`Runtime::check_invariants`]).
+    fn check_invariants(&self, shard: usize) {
+        let slots = self.current.len();
+        assert_eq!(
+            self.generations.len(),
+            slots,
+            "shard {shard}: {} generation counters for {slots} slots",
+            self.generations.len(),
+        );
+        assert_eq!(
+            self.vars.len(),
+            slots * self.n_regs,
+            "shard {shard}: {} registers for {slots} slots of {} registers each",
+            self.vars.len(),
+            self.n_regs,
+        );
+        let mut on_free_list = vec![false; slots];
+        for &free in &self.free {
+            let slot = free as usize;
+            assert!(
+                self.current.get(slot) == Some(&RETIRED),
+                "shard {shard}: free-list entry {free} is not a retired slot",
+            );
+            assert!(
+                !on_free_list[slot],
+                "shard {shard}: slot {free} is on the free list twice",
+            );
+            on_free_list[slot] = true;
+        }
+        for (slot, &state) in self.current.iter().enumerate() {
+            assert!(
+                state != RETIRED || on_free_list[slot],
+                "shard {shard}: retired slot {slot} is missing from the free list",
+            );
+            assert!(
+                state == RETIRED || (state as usize) < self.state_count(),
+                "shard {shard}: slot {slot} holds state {state}, outside the engine",
+            );
+        }
+        if !self.finished_dirty.get() {
+            let mut derived = FinishedSet::default();
+            self.rebuild_finished(&mut derived);
+            let finished = self.finished.borrow();
+            for slot in 0..slots {
+                assert_eq!(
+                    finished.get(slot),
+                    derived.get(slot),
+                    "shard {shard}: clean finished bit of slot {slot} disagrees with its state",
+                );
+            }
+            assert_eq!(
+                finished.count(),
+                derived.count(),
+                "shard {shard}: clean finished count disagrees with the states",
+            );
+        }
+        if let Some(state) = self.lockstep {
+            if let Some(slot) = self.current.iter().position(|&s| s != state) {
+                panic!(
+                    "shard {shard}: lockstep hint says every slot is in state {state}, \
+                     but slot {slot} is in state {}",
+                    self.current[slot],
+                );
+            }
+        }
+    }
+}
 
 /// A point-in-time capture of one session (see [`Runtime::snapshot`]):
 /// everything needed to recognise the same execution later.
@@ -1177,7 +1141,7 @@ struct PendingSwap {
 /// * [`deliver`](Runtime::deliver) steps one session (returning the
 ///   triggered actions, borrowed — no allocation on any compiled-tier
 ///   delivery path); [`deliver_all`](Runtime::deliver_all) steps every
-///   session, across worker threads when sharded;
+///   session;
 /// * [`reset`](Runtime::reset) restarts an execution in place,
 ///   [`release`](Runtime::release) recycles its slot (bumping the
 ///   generation, so stale handles fail loudly);
@@ -1195,16 +1159,19 @@ struct PendingSwap {
 ///   before any session moves.
 ///
 /// Sharding is configuration: [`sharded(k)`](Runtime::sharded)
-/// partitions future sessions across `k` shards, and batch deliveries
-/// step shards on scoped worker threads
-/// ([`deliver_all`](Runtime::deliver_all)) or persistent parked ones
-/// ([`with_workers`](Runtime::with_workers)). Results are bit-identical
-/// to a single shard whatever the scheduling, because sessions never
-/// share state.
+/// partitions future sessions across `k` shards. There are two ways to
+/// step them: [`deliver_all`](Runtime::deliver_all) walks the shards
+/// inline on the calling thread, and
+/// [`with_workers`](Runtime::with_workers) runs a batch sequence on
+/// persistent work-stealing threads. Results are bit-identical to a
+/// single shard whatever the scheduling, because sessions never share
+/// state.
 #[derive(Debug)]
 pub struct Runtime {
     engine: Engine,
-    pool: ShardedPool<Shard>,
+    /// The session shards; never empty. Handles address a shard by
+    /// index, so shards are only ever appended.
+    shards: Vec<Shard>,
     /// Session deadlines (see [`Runtime::arm_timeout`]); volatile —
     /// deliberately excluded from [`RuntimeSnapshot`]s.
     timers: TimerWheel<SessionId>,
@@ -1230,10 +1197,10 @@ pub struct Runtime {
 impl Runtime {
     /// A runtime over `engine` with one shard and no sessions.
     pub fn new(engine: Engine) -> Self {
-        let pool = ShardedPool::new(vec![Shard::new(engine.kind.clone())]);
+        let shards = vec![Shard::new(engine.kind.clone())];
         Runtime {
             engine,
-            pool,
+            shards,
             timers: TimerWheel::new(),
             expired_scratch: Vec::new(),
             pending: None,
@@ -1254,23 +1221,21 @@ impl Runtime {
     pub fn sharded(self, shards: usize) -> Self {
         assert!(shards > 0, "runtime needs at least one shard");
         assert!(
-            self.pool.shards().iter().all(|s| s.session_count() == 0),
+            self.shards.iter().all(|s| s.current.is_empty()),
             "sharded() must be called before spawning sessions"
         );
-        let pool = ShardedPool::new(
-            (0..shards)
-                .map(|_| {
-                    let mut shard = Shard::new(self.engine.kind.clone());
-                    if let Some(cap) = self.recorder_capacity {
-                        shard.recorder = Some(FlightRecorder::new(cap));
-                    }
-                    shard
-                })
-                .collect(),
-        );
+        let shards = (0..shards)
+            .map(|_| {
+                let mut shard = Shard::new(self.engine.kind.clone());
+                if let Some(cap) = self.recorder_capacity {
+                    shard.recorder = Some(FlightRecorder::new(cap));
+                }
+                shard
+            })
+            .collect();
         Runtime {
             engine: self.engine,
-            pool,
+            shards,
             timers: TimerWheel::new(),
             expired_scratch: Vec::new(),
             pending: None,
@@ -1286,9 +1251,10 @@ impl Runtime {
         &self.engine
     }
 
-    /// Number of shards (worker threads used per batch delivery).
+    /// Number of shards: the units [`Runtime::with_workers`] hands to
+    /// its worker threads. [`Runtime::deliver_all`] steps them inline.
     pub fn shard_count(&self) -> usize {
-        self.pool.shard_count()
+        self.shards.len()
     }
 
     /// Looks up a message id by name in O(1) (delegates to
@@ -1305,7 +1271,7 @@ impl Runtime {
     /// While a hot-swap is draining (see [`Runtime::begin_swap`]), new
     /// sessions land only on shards serving the *incoming* engine.
     pub fn spawn(&mut self) -> SessionId {
-        let shards = self.pool.shards_mut();
+        let shards = &mut self.shards;
         let shard = match &self.pending {
             Some(p) => p
                 .incoming
@@ -1338,7 +1304,7 @@ impl Runtime {
         }
         // Spawn shard-by-shard to keep balancing O(shards), not
         // O(count × shards).
-        let shards = self.pool.shards_mut();
+        let shards = &mut self.shards;
         let k = shards.len();
         let target = {
             let live: usize = shards.iter().map(Shard::live).sum();
@@ -1360,7 +1326,7 @@ impl Runtime {
 
     /// Sessions currently live (spawned and not released).
     pub fn len(&self) -> usize {
-        self.pool.shards().iter().map(Shard::live).sum()
+        self.shards.iter().map(Shard::live).sum()
     }
 
     /// `true` if no session is live.
@@ -1383,7 +1349,7 @@ impl Runtime {
     /// dead execution can never silently address a live one.
     #[inline]
     pub fn deliver(&mut self, session: SessionId, message: MessageId) -> &[Action] {
-        self.pool.shards_mut()[session.shard as usize].deliver_slot(session, message)
+        self.shards[session.shard as usize].deliver_slot(session, message)
     }
 
     /// Non-panicking form of [`Runtime::deliver`], for inputs from
@@ -1428,7 +1394,7 @@ impl Runtime {
             slot: session.slot(),
             generation: session.generation(),
         };
-        let Some(shard) = self.pool.shards_mut().get_mut(session.shard as usize) else {
+        let Some(shard) = self.shards.get_mut(session.shard as usize) else {
             return Err(stale);
         };
         if !shard.is_live_slot(session) {
@@ -1437,51 +1403,49 @@ impl Runtime {
         Ok(shard.deliver_slot(session, message))
     }
 
-    /// Delivers a message to every live session — one scoped worker
-    /// thread per shard when sharded — and returns the number of
-    /// transitions taken.
+    /// Delivers a message to every live session, stepping the shards
+    /// in order on the calling thread, and returns the number of
+    /// transitions taken. To spread a sequence of batches over several
+    /// cores, use [`Runtime::with_workers`].
     ///
     /// While a recorder is attached (see [`Runtime::attach_recorder`])
     /// the batch's wall-clock latency is also recorded into
     /// [`Runtime::batch_latency`]; unobserved runtimes skip the clock
     /// reads entirely.
     pub fn deliver_all(&mut self, message: MessageId) -> u64 {
-        match &mut self.batch_latency {
-            Some(hist) => {
-                let start = Instant::now();
-                let transitions = self.pool.deliver_all(message);
-                hist.record(start.elapsed().as_nanos() as u64);
-                transitions
-            }
-            None => self.pool.deliver_all(message),
+        let start = self.batch_latency.is_some().then(Instant::now);
+        let transitions = self
+            .shards
+            .iter_mut()
+            .map(|shard| shard.deliver_all(message))
+            .sum();
+        if let (Some(hist), Some(start)) = (&mut self.batch_latency, start) {
+            hist.record(start.elapsed().as_nanos() as u64);
         }
+        transitions
     }
 
-    /// Runs `f` with persistent parked workers, one per shard: a batch
-    /// *sequence* pays one thread spawn/join total instead of one per
-    /// [`Runtime::deliver_all`] call. With one shard no thread is
-    /// spawned and batches run inline.
-    pub fn with_workers<R>(&mut self, f: impl FnOnce(&mut Workers<'_>) -> R) -> R {
-        self.pool.with_workers(f)
-    }
-
-    /// Runs `f` with `workers` persistent *work-stealing* threads over
-    /// the shards (see [`ShardedPool::with_stealing_workers`]): the
-    /// multi-core layer when the runtime holds more shards than the
-    /// machine has cores. Each worker drains its own deque of shards
-    /// and steals from the others when idle; every shard is stepped by
-    /// exactly one worker per batch, so results are bit-identical to
-    /// [`Runtime::deliver_all`] whatever the interleaving.
+    /// Runs `f` with `workers` persistent work-stealing threads over the
+    /// shards: a batch *sequence* pays one thread spawn/join in total,
+    /// and each batch is spread over the cores. `workers` is clamped to
+    /// the shard count; with one worker no thread is spawned and the
+    /// shards are stepped inline.
+    ///
+    /// Each worker drains its own deque of shards and steals from the
+    /// others when idle. Every shard is stepped by exactly one worker
+    /// per batch, and shards share no session state, so the results are
+    /// bit-identical to [`Runtime::deliver_all`] whatever the
+    /// interleaving. While `f` runs the shards are borrowed by the
+    /// workers, so only the aggregate accessors on [`Workers`] are
+    /// available; per-session queries work again once `with_workers`
+    /// returns.
     ///
     /// # Panics
     ///
-    /// Panics if `workers` is zero.
-    pub fn with_stealing_workers<R>(
-        &mut self,
-        workers: usize,
-        f: impl FnOnce(&mut StealingWorkers<'_, Shard>) -> R,
-    ) -> R {
-        self.pool.with_stealing_workers(workers, f)
+    /// Panics if `workers` is zero, and propagates a panic from `f` or
+    /// from a shard (after releasing every worker thread).
+    pub fn with_workers<R>(&mut self, workers: usize, f: impl FnOnce(&mut Workers<'_>) -> R) -> R {
+        Workers::run(&mut self.shards, workers, f)
     }
 
     /// Returns one session to the start state (same slot, handle stays
@@ -1491,12 +1455,14 @@ impl Runtime {
     ///
     /// Panics if `session` is stale (see [`Runtime::deliver`]).
     pub fn reset(&mut self, session: SessionId) {
-        self.pool.shards_mut()[session.shard as usize].reset_slot(session);
+        self.shards[session.shard as usize].reset_slot(session);
     }
 
     /// Returns every live session to the start state.
     pub fn reset_all(&mut self) {
-        self.pool.reset_all();
+        for shard in &mut self.shards {
+            shard.reset_all();
+        }
     }
 
     /// Ends an execution and recycles its slot through the free list.
@@ -1507,7 +1473,7 @@ impl Runtime {
     ///
     /// Panics if `session` is already stale (double release).
     pub fn release(&mut self, session: SessionId) {
-        self.pool.shards_mut()[session.shard as usize].release_slot(session);
+        self.shards[session.shard as usize].release_slot(session);
         if self.timers.cancel(&session) {
             self.counters.inc_timeouts_cancelled();
         }
@@ -1516,8 +1482,7 @@ impl Runtime {
     /// `true` while `session` addresses a live execution (its slot has
     /// not been released/recycled). The non-panicking validity probe.
     pub fn is_live(&self, session: SessionId) -> bool {
-        self.pool
-            .shards()
+        self.shards
             .get(session.shard as usize)
             .is_some_and(|s| s.is_live_slot(session))
     }
@@ -1528,7 +1493,7 @@ impl Runtime {
     ///
     /// Panics if `session` is stale.
     pub fn state(&self, session: SessionId) -> u32 {
-        self.pool.shards()[session.shard as usize].state_of(session)
+        self.shards[session.shard as usize].state_of(session)
     }
 
     /// Display name of a session's state, borrowed from the engine.
@@ -1537,7 +1502,7 @@ impl Runtime {
     ///
     /// Panics if `session` is stale.
     pub fn state_name(&self, session: SessionId) -> &str {
-        self.pool.shards()[session.shard as usize].state_name_of(session)
+        self.shards[session.shard as usize].state_name_of(session)
     }
 
     /// A session's EFSM variable registers, in declaration order (empty
@@ -1547,7 +1512,7 @@ impl Runtime {
     ///
     /// Panics if `session` is stale.
     pub fn vars(&self, session: SessionId) -> &[i64] {
-        self.pool.shards()[session.shard as usize].vars_of(session)
+        self.shards[session.shard as usize].vars_of(session)
     }
 
     /// `true` once a session has reached a finish state.
@@ -1556,7 +1521,7 @@ impl Runtime {
     ///
     /// Panics if `session` is stale.
     pub fn is_finished(&self, session: SessionId) -> bool {
-        self.pool.shards()[session.shard as usize].is_finished_slot(session)
+        self.shards[session.shard as usize].is_finished_slot(session)
     }
 
     /// Number of live finished sessions.
@@ -1570,7 +1535,7 @@ impl Runtime {
     /// sessions) per dirty shard. Poll between batches, not inside a
     /// per-delivery hot path.
     pub fn finished_count(&self) -> usize {
-        self.pool.finished_count()
+        self.shards.iter().map(Shard::finished_count).sum()
     }
 
     /// `true` once every live session has finished.
@@ -1580,7 +1545,32 @@ impl Runtime {
 
     /// Total transitions taken across all sessions.
     pub fn steps(&self) -> u64 {
-        self.pool.steps()
+        self.shards.iter().map(Shard::steps).sum()
+    }
+
+    /// The checked mode for the invariants the shards maintain
+    /// incrementally. For every shard it verifies that:
+    ///
+    /// * the generation counters and the register file match the slot
+    ///   count, and every live slot holds a state of the engine;
+    /// * every free-list entry is unique and names a retired slot, and
+    ///   every retired slot is on the free list;
+    /// * a clean (not batch-stale) finished set equals the one derived
+    ///   from the states;
+    /// * the lockstep hint is true: `Some(s)` means every slot holds `s`.
+    ///
+    /// O(sessions); meant for tests and debugging, not the serving path.
+    /// It reads without repairing anything, so checking never changes
+    /// behaviour.
+    ///
+    /// # Panics
+    ///
+    /// Panics with the shard, slot and invariant at fault if any
+    /// invariant does not hold.
+    pub fn check_invariants(&self) {
+        for (i, shard) in self.shards.iter().enumerate() {
+            shard.check_invariants(i);
+        }
     }
 
     /// A [`ProtocolEngine`] view of one session, for code written
@@ -1602,8 +1592,7 @@ impl Runtime {
     /// Validates a handle fallibly, returning its shard.
     fn live_shard(&self, session: SessionId) -> Result<&Shard, StategenError> {
         let shard = self
-            .pool
-            .shards()
+            .shards
             .get(session.shard as usize)
             .ok_or_else(|| Runtime::stale(session))?;
         if !shard.is_live_slot(session) {
@@ -1615,8 +1604,7 @@ impl Runtime {
     /// Validates a handle fallibly, returning its shard mutably.
     fn live_shard_mut(&mut self, session: SessionId) -> Result<&mut Shard, StategenError> {
         let shard = self
-            .pool
-            .shards_mut()
+            .shards
             .get_mut(session.shard as usize)
             .ok_or_else(|| Runtime::stale(session))?;
         if !shard.is_live_slot(session) {
@@ -1678,7 +1666,7 @@ impl Runtime {
     ///
     /// Panics if `session` is stale.
     pub fn snapshot(&self, session: SessionId) -> SessionSnapshot {
-        let shard = &self.pool.shards()[session.shard as usize];
+        let shard = &self.shards[session.shard as usize];
         shard.check(session);
         self.counters.inc_snapshots();
         let slot = session.slot as usize;
@@ -1709,7 +1697,7 @@ impl Runtime {
         self.counters.inc_snapshots();
         RuntimeSnapshot {
             fingerprint: self.engine.fingerprint(),
-            shards: self.pool.shards().iter().map(Shard::snapshot).collect(),
+            shards: self.shards.iter().map(Shard::snapshot).collect(),
         }
     }
 
@@ -1750,7 +1738,7 @@ impl Runtime {
             .collect();
         let runtime = Runtime {
             engine: engine.clone(),
-            pool: ShardedPool::new(shards),
+            shards,
             timers: TimerWheel::new(),
             expired_scratch: Vec::new(),
             pending: None,
@@ -1804,7 +1792,7 @@ impl Runtime {
             // engine by the fingerprint's definition, and Shard::restore
             // re-validates them structurally.
             let sessions = self.len();
-            for shard in self.pool.shards_mut() {
+            for shard in &mut self.shards {
                 // Shard::restore builds a fresh shard; telemetry is not
                 // part of durable state, so carry the counters and the
                 // recorder ring across the migration by hand.
@@ -1827,7 +1815,7 @@ impl Runtime {
         }
         let mut draining = Vec::new();
         let mut fresh = Vec::new();
-        for (i, shard) in self.pool.shards_mut().iter_mut().enumerate() {
+        for (i, shard) in self.shards.iter_mut().enumerate() {
             if shard.live() == 0 {
                 shard.rekind_empty(incoming.kind.clone());
                 fresh.push(i);
@@ -1846,15 +1834,15 @@ impl Runtime {
             // new spawns have somewhere to land. Appending never
             // disturbs existing shard indices or handles.
             for _ in 0..draining.len() {
-                fresh.push(self.pool.shard_count());
+                fresh.push(self.shards.len());
                 let mut shard = Shard::new(incoming.kind.clone());
                 if let Some(cap) = self.recorder_capacity {
                     shard.recorder = Some(FlightRecorder::new(cap));
                 }
-                self.pool.push(shard);
+                self.shards.push(shard);
             }
         }
-        let sessions = draining.iter().map(|&i| self.pool.shards()[i].live()).sum();
+        let sessions = draining.iter().map(|&i| self.shards[i].live()).sum();
         self.pending = Some(PendingSwap {
             engine: incoming,
             draining,
@@ -1884,14 +1872,14 @@ impl Runtime {
         let remaining: usize = pending
             .draining
             .iter()
-            .map(|&i| self.pool.shards()[i].live())
+            .map(|&i| self.shards[i].live())
             .sum();
         if remaining > 0 {
             return Err(SwapError::Draining { remaining }.into());
         }
         let pending = self.pending.take().expect("checked above");
         for &i in &pending.draining {
-            self.pool.shards_mut()[i].rekind_empty(pending.engine.kind.clone());
+            self.shards[i].rekind_empty(pending.engine.kind.clone());
         }
         self.engine = pending.engine;
         self.counters.inc_swaps_completed();
@@ -1927,7 +1915,7 @@ impl Runtime {
         }
         let mut dropped = 0;
         for &i in &pending.incoming {
-            let shard = &mut self.pool.shards_mut()[i];
+            let shard = &mut self.shards[i];
             for slot in 0..shard.current.len() {
                 if shard.current[slot] == RETIRED {
                     continue;
@@ -1941,7 +1929,7 @@ impl Runtime {
                 self.timers.cancel(&id);
                 dropped += 1;
             }
-            self.pool.shards_mut()[i].rekind_empty(self.engine.kind.clone());
+            self.shards[i].rekind_empty(self.engine.kind.clone());
         }
         Ok(dropped)
     }
@@ -1959,10 +1947,7 @@ impl Runtime {
     /// [`finish`](Runtime::finish_swap) once this reaches zero.
     pub fn draining_sessions(&self) -> usize {
         self.pending.as_ref().map_or(0, |p| {
-            p.draining
-                .iter()
-                .map(|&i| self.pool.shards()[i].live())
-                .sum()
+            p.draining.iter().map(|&i| self.shards[i].live()).sum()
         })
     }
 
@@ -1982,7 +1967,7 @@ impl Runtime {
     ///
     /// Panics if `session` is stale.
     pub fn arm_timeout(&mut self, session: SessionId, deadline: u64) {
-        self.pool.shards()[session.shard as usize].check(session);
+        self.shards[session.shard as usize].check(session);
         self.timers.arm(session, deadline);
     }
 
@@ -2018,7 +2003,7 @@ impl Runtime {
         expired.extend_from_slice(self.timers.advance(now));
         let mut delivered = 0;
         for &session in &expired {
-            let Some(shard) = self.pool.shards_mut().get_mut(session.shard as usize) else {
+            let Some(shard) = self.shards.get_mut(session.shard as usize) else {
                 continue;
             };
             if !shard.is_live_slot(session) {
@@ -2055,7 +2040,10 @@ impl Runtime {
     /// Counters are always on: they cost one cache-local add per event
     /// and need no [`Runtime::attach_recorder`] call.
     pub fn metrics(&self) -> MetricsSnapshot {
-        let mut snap = self.pool.metrics();
+        let mut snap = MetricsSnapshot::default();
+        for shard in &self.shards {
+            shard.counters.merge_into(&mut snap);
+        }
         self.counters.merge_into(&mut snap);
         snap.timer_cascades = self.timers.cascades();
         snap
@@ -2075,7 +2063,7 @@ impl Runtime {
     /// no-op, not a branch per event).
     pub fn attach_recorder(&mut self, capacity: usize) {
         self.recorder_capacity = Some(capacity);
-        for shard in self.pool.shards_mut() {
+        for shard in &mut self.shards {
             shard.recorder = Some(FlightRecorder::new(capacity));
         }
         self.batch_latency = Some(Box::new(LogHistogram::new()));
@@ -2086,7 +2074,7 @@ impl Runtime {
     /// Counters stay on; a pending [`Runtime::abort_dump`] is kept.
     pub fn detach_recorder(&mut self) {
         self.recorder_capacity = None;
-        for shard in self.pool.shards_mut() {
+        for shard in &mut self.shards {
             shard.recorder = None;
         }
         self.batch_latency = None;
@@ -2111,7 +2099,7 @@ impl Runtime {
     pub fn dump_trace(&self) -> String {
         let mut out = String::new();
         let messages = self.engine.messages();
-        for (i, shard) in self.pool.shards().iter().enumerate() {
+        for (i, shard) in self.shards.iter().enumerate() {
             let Some(rec) = &shard.recorder else { continue };
             let _ = writeln!(
                 out,
@@ -2387,12 +2375,12 @@ mod tests {
     }
 
     #[test]
-    fn parked_workers_match_scoped_delivery() {
+    fn workers_match_inline_delivery() {
         let engine = Engine::compile(Spec::machine(finishing_machine())).unwrap();
         let mut rt = engine.runtime().sharded(3);
         rt.spawn_many(70);
         let a = engine.message_id("a").unwrap();
-        let total = rt.with_workers(|w| {
+        let total = rt.with_workers(3, |w| {
             assert_eq!(w.worker_count(), 3);
             let t = w.deliver_all(a) + w.deliver_all(a);
             assert_eq!(w.finished_count(), 70);
@@ -2400,6 +2388,211 @@ mod tests {
         });
         assert_eq!(total, 140);
         assert!(rt.all_finished());
+    }
+
+    #[test]
+    fn workers_reset_and_reuse() {
+        let mut rt = compiled_runtime().sharded(3);
+        rt.spawn_many(70);
+        let a = rt.message_id("a").unwrap();
+        let total = rt.with_workers(8, |w| {
+            // Clamped to the shard count.
+            assert_eq!(w.worker_count(), 3);
+            let mut total = 0;
+            for _ in 0..3 {
+                total += w.deliver_all(a) + w.deliver_all(a);
+                assert_eq!(w.finished_count(), 70);
+                w.reset_all();
+                assert_eq!(w.finished_count(), 0);
+                assert_eq!(w.steps(), 0);
+            }
+            total
+        });
+        assert_eq!(total, 3 * 2 * 70);
+        assert_eq!(rt.finished_count(), 0);
+        rt.check_invariants();
+    }
+
+    #[test]
+    fn with_workers_returns_closure_value() {
+        let mut rt = compiled_runtime();
+        rt.spawn();
+        let a = rt.message_id("a").unwrap();
+        // One shard: the inline path, no thread behind it.
+        let echoed = rt.with_workers(4, |w| {
+            assert_eq!(w.worker_count(), 1);
+            w.deliver_all(a) + 41
+        });
+        assert_eq!(echoed, 42);
+    }
+
+    /// Flat and four-shard runtimes, 103 sessions each, paired by spawn order.
+    fn flat_and_sharded() -> [(Runtime, Vec<SessionId>); 2] {
+        [compiled_runtime(), compiled_runtime().sharded(4)].map(|mut rt| {
+            let ids = (0..103).map(|_| rt.spawn()).collect();
+            (rt, ids)
+        })
+    }
+
+    #[test]
+    fn workers_match_flat_runtime() {
+        let [(mut flat, flat_ids), (mut sharded, sharded_ids)] = flat_and_sharded();
+        let [a, b] = ["a", "b"].map(|m| flat.message_id(m).unwrap());
+        sharded.with_workers(4, |w| {
+            assert_eq!(w.worker_count(), 4);
+            for &mid in &[a, b, a, a, b] {
+                assert_eq!(w.deliver_all(mid), flat.deliver_all(mid));
+                assert_eq!(w.finished_count(), flat.finished_count());
+                assert_eq!(w.steps(), flat.steps());
+            }
+        });
+        // Full per-session state is back once the workers have stopped.
+        for (&f, &s) in flat_ids.iter().zip(&sharded_ids) {
+            assert_eq!(flat.state(f), sharded.state(s), "session {f:?}");
+        }
+        sharded.check_invariants();
+    }
+
+    #[test]
+    fn sharded_sessions_match_flat_per_session() {
+        let [(mut flat, flat_ids), (mut sharded, sharded_ids)] = flat_and_sharded();
+        let [a, b] = ["a", "b"].map(|m| flat.message_id(m).unwrap());
+        // Per-session traffic on every seventh session exposes a mixed-up slot map.
+        for (&f, &s) in flat_ids.iter().zip(&sharded_ids).step_by(7) {
+            assert_eq!(flat.deliver(f, a), sharded.deliver(s, a));
+        }
+        for &mid in &[a, b, a, a, b] {
+            assert_eq!(flat.deliver_all(mid), sharded.deliver_all(mid));
+            for (&f, &s) in flat_ids.iter().zip(&sharded_ids) {
+                assert_eq!(flat.state(f), sharded.state(s), "session {f:?}");
+                assert_eq!(flat.is_finished(f), sharded.is_finished(s), "session {f:?}");
+            }
+            sharded.check_invariants();
+        }
+    }
+
+    #[test]
+    fn sharded_efsm_runtime_counts_to_finish() {
+        use stategen_core::efsm::{CmpOp, EfsmBuilder, Guard, LinExpr, Update};
+        let mut b = EfsmBuilder::new("counter", ["tick"]);
+        let (limit, n) = (b.add_param("limit"), b.add_var("n"));
+        let (counting, done) = (b.add_state("counting"), b.add_state("done"));
+        for (op, to, out) in [
+            (CmpOp::Lt, counting, vec![]),
+            (CmpOp::Ge, done, vec![Action::send("done")]),
+        ] {
+            let reached = Guard::when(LinExpr::var(n).plus_const(1), op, LinExpr::param(limit));
+            b.add_transition(counting, "tick", reached, vec![Update::Inc(n)], out, to);
+        }
+        let engine = Engine::compile(Spec::efsm(b.build(counting, Some(done)), vec![2])).unwrap();
+        let mut rt = engine.runtime().sharded(2);
+        let ids: Vec<SessionId> = (0..64).map(|_| rt.spawn()).collect();
+        let tick = engine.message_id("tick").unwrap();
+        assert_eq!(rt.deliver_all(tick), 64);
+        assert_eq!(rt.finished_count(), 0);
+        assert_eq!(rt.deliver_all(tick), 64);
+        assert!(rt.all_finished());
+        assert!(ids.iter().all(|&s| rt.vars(s) == [2]));
+        rt.check_invariants();
+    }
+
+    #[test]
+    fn one_worker_steps_shards_inline() {
+        let mut rt = compiled_runtime().sharded(3);
+        let ids: Vec<SessionId> = (0..10).map(|_| rt.spawn()).collect();
+        let a = rt.message_id("a").unwrap();
+        // One worker over three shards: no thread, every shard in turn.
+        let stepped = rt.with_workers(1, |w| (w.worker_count(), w.deliver_all(a)));
+        assert_eq!(stepped, (1, 10));
+        assert!(ids.iter().all(|&s| rt.state_name(s) == "s1"));
+        rt.check_invariants();
+    }
+
+    #[test]
+    fn with_workers_propagates_closure_panic_without_hanging() {
+        let mut rt = compiled_runtime().sharded(3);
+        rt.spawn_many(20);
+        let a = rt.message_id("a").unwrap();
+        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            rt.with_workers(3, |w| {
+                w.deliver_all(a);
+                panic!("closure failed mid-batch");
+            })
+        }));
+        // The shutdown-on-drop releases the workers, so the
+        // panic propagates instead of deadlocking the scope's join.
+        let payload = unwound.unwrap_err();
+        let message = payload.downcast_ref::<&str>().copied().unwrap_or_default();
+        assert_eq!(message, "closure failed mid-batch");
+        // The runtime is usable again afterwards.
+        assert_eq!(rt.deliver_all(a), 20);
+        rt.check_invariants();
+    }
+
+    #[test]
+    #[should_panic(expected = "shard worker panicked")]
+    fn with_workers_fails_fast_when_a_shard_panics() {
+        let engine = Engine::interpret(Spec::machine(finishing_machine())).unwrap();
+        let mut rt = engine.runtime().sharded(2);
+        rt.spawn_many(4);
+        let a = rt.message_id("a").unwrap();
+        // A state id outside the machine makes the interpreted batch
+        // loop index out of bounds: the shard panics mid-batch.
+        rt.shards[1].current[0] = 99;
+        rt.with_workers(2, |w| {
+            w.deliver_all(a); // the driver must fail fast, not hang
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "lockstep hint says every slot is in state 0")]
+    fn check_invariants_catches_a_false_lockstep_hint() {
+        let mut rt = compiled_runtime();
+        rt.spawn_many(3);
+        rt.check_invariants();
+        rt.shards[0].current[2] = 1;
+        rt.check_invariants();
+    }
+
+    #[test]
+    #[should_panic(expected = "retired slot 1 is missing from the free list")]
+    fn check_invariants_catches_a_lost_free_slot() {
+        let mut rt = compiled_runtime();
+        rt.spawn_many(3);
+        let gone = SessionId {
+            shard: 0,
+            slot: 1,
+            generation: 0,
+        };
+        rt.release(gone);
+        rt.check_invariants();
+        rt.shards[0].free.clear();
+        rt.check_invariants();
+    }
+
+    #[test]
+    #[should_panic(expected = "clean finished bit of slot 0 disagrees with its state")]
+    fn check_invariants_catches_a_stale_clean_finished_bit() {
+        let mut rt = compiled_runtime();
+        let s = rt.spawn();
+        let a = rt.message_id("a").unwrap();
+        rt.deliver(s, a);
+        rt.deliver(s, a);
+        rt.check_invariants();
+        rt.shards[0].finished.get_mut().clear(0);
+        rt.check_invariants();
+    }
+
+    #[test]
+    #[should_panic(expected = "at least one shard")]
+    fn sharded_with_zero_shards_panics() {
+        let _ = compiled_runtime().sharded(0);
+    }
+
+    #[test]
+    #[should_panic(expected = "need at least one worker")]
+    fn with_zero_workers_panics() {
+        compiled_runtime().with_workers(0, |_| ());
     }
 
     #[test]
@@ -2541,7 +2734,7 @@ mod tests {
         rt.arm_timeout(slow, 200);
         let stale_target = rt.spawn();
         rt.arm_timeout(stale_target, 200);
-        rt.pool.shards_mut()[stale_target.shard as usize].release_slot(stale_target);
+        rt.shards[stale_target.shard as usize].release_slot(stale_target);
         assert_eq!(rt.advance_time(200, a), 1);
         assert!(rt.is_finished(slow));
     }
@@ -2613,9 +2806,9 @@ mod tests {
                 }
                 let mid = replayed.message_id(name).unwrap();
                 replayed.deliver_all(mid);
-                inline.pool.shards_mut()[0].deliver_batch(mid, &mut rec);
+                inline.shards[0].deliver_batch(mid, &mut rec);
 
-                let shards = replayed.pool.shards_mut();
+                let shards = &mut replayed.shards;
                 let ring = shards[0].recorder.as_ref().unwrap();
                 assert_eq!(
                     ring.recorded(),

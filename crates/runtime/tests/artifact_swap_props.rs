@@ -399,6 +399,7 @@ fn apply_ops(rt: &mut Runtime, live: &mut Vec<SessionId>, ops: &[PoolOp]) {
                 }
             }
         }
+        rt.check_invariants();
     }
 }
 
@@ -446,7 +447,9 @@ proptest! {
         apply_ops(&mut rt, &mut old, &before);
         let old_states: Vec<u32> = old.iter().map(|&s| rt.state(s)).collect();
 
-        match rt.begin_swap(incoming.clone()).unwrap() {
+        let outcome = rt.begin_swap(incoming.clone()).unwrap();
+        rt.check_invariants();
+        match outcome {
             SwapOutcome::Migrated { .. } => {
                 prop_assert!(false, "fingerprints differ; migration impossible");
             }
@@ -468,6 +471,7 @@ proptest! {
                         rt.release(s);
                     }
                     rt.finish_swap().unwrap();
+                    rt.check_invariants();
                     prop_assert!(!rt.swap_in_progress());
                     prop_assert_eq!(rt.engine().fingerprint(), incoming.fingerprint());
                     let update = rt.message_id(MESSAGE_NAMES[0]).unwrap();
@@ -480,6 +484,7 @@ proptest! {
                     prop_assert_eq!(rt.len(), young.len());
                 } else {
                     let dropped = rt.abort_swap().unwrap();
+                    rt.check_invariants();
                     prop_assert_eq!(dropped, young.len());
                     prop_assert!(!rt.swap_in_progress());
                     prop_assert_eq!(rt.engine().fingerprint(), outgoing.fingerprint());
@@ -495,6 +500,7 @@ proptest! {
                     // the next rollout can start.
                     apply_ops(&mut rt, &mut old, &during);
                     rt.begin_swap(incoming.clone()).unwrap();
+                    rt.check_invariants();
                 }
             }
         }

@@ -5,11 +5,18 @@
 //! and snapshots — under spawn/release/reset churn between batches
 //! (released slots exercise the kernels' retired-slot skip bucket), on
 //! the compiled, compiled-EFSM and reconstructed build-time-generated
-//! tiers, and under work-stealing workers.
+//! tiers. Sharding and work-stealing workers are pinned the same way to
+//! a flat runtime, on random generated machines and on a threshold EFSM
+//! with and without spilled cells. Every property runs the runtime's
+//! checked mode (`Runtime::check_invariants`) after each operation.
 
 use proptest::prelude::*;
 use stategen_commit::{commit_efsm, commit_efsm_params, CommitConfig, CommitModel, MESSAGE_NAMES};
-use stategen_core::generate;
+use stategen_core::efsm::{CmpOp, EfsmBuilder, Guard, LinExpr, Update};
+use stategen_core::{
+    generate, AbstractModel, Action, CompiledEfsm, Efsm, EfsmSessionPool, Outcome, StateComponent,
+    StateSpace, StateVector,
+};
 use stategen_generated::GeneratedCommitR4;
 use stategen_runtime::{Engine, MessageId, Runtime, SessionId, Spec};
 
@@ -106,7 +113,9 @@ fn drive(
                 scalar.release(scalar_live.swap_remove(idx));
             }
         }
+        scalar.check_invariants();
         for (rt, handles) in batched.iter().zip(&live) {
+            rt.check_invariants();
             for (idx, (&h, &sh)) in handles.iter().zip(&scalar_live).enumerate() {
                 // Sharded layouts recycle slots per shard, so compare
                 // the execution content (state + full register file),
@@ -215,7 +224,7 @@ proptest! {
         let flat_handles: Vec<_> = (0..sessions).map(|_| flat.spawn()).collect();
         let sharded_handles: Vec<_> = (0..sessions).map(|_| sharded.spawn()).collect();
         let ids = commit_ids(&flat);
-        let checks: Result<(), TestCaseError> = sharded.with_stealing_workers(workers, |w| {
+        let checks: Result<(), TestCaseError> = sharded.with_workers(workers, |w| {
             for (step, &m) in messages.iter().enumerate() {
                 let t_flat = flat.deliver_all(ids[m]);
                 prop_assert_eq!(w.deliver_all(ids[m]), t_flat, "step {}", step);
@@ -235,5 +244,290 @@ proptest! {
         flat_states.sort_unstable();
         sharded_states.sort_unstable();
         prop_assert_eq!(flat_states, sharded_states);
+    }
+}
+
+// ---------------------------------------------------------------------
+// Sharding and workers on random machines: layout and scheduling never
+// change the answers.
+// ---------------------------------------------------------------------
+
+/// A randomised threshold model: two counters and a flag; `a` bumps
+/// counter 0, `b` bumps counter 1; crossing `threshold` on the sum
+/// fires an action; completion when counter 1 reaches its max.
+#[derive(Debug, Clone)]
+struct TwoCounter {
+    max0: u32,
+    max1: u32,
+    threshold: u32,
+}
+
+impl AbstractModel for TwoCounter {
+    fn machine_name(&self) -> String {
+        format!("two-counter@{}x{}t{}", self.max0, self.max1, self.threshold)
+    }
+
+    fn state_space(&self) -> Result<StateSpace, stategen_core::SchemaError> {
+        StateSpace::new(vec![
+            StateComponent::int("c0", self.max0),
+            StateComponent::int("c1", self.max1),
+            StateComponent::boolean("fired"),
+        ])
+    }
+
+    fn messages(&self) -> Vec<String> {
+        vec!["a".into(), "b".into()]
+    }
+
+    fn start_state(&self) -> StateVector {
+        self.state_space().expect("schema").zero_vector()
+    }
+
+    fn transition(&self, state: &StateVector, message: &str) -> Outcome {
+        let idx = if message == "a" { 0 } else { 1 };
+        let max = if idx == 0 { self.max0 } else { self.max1 };
+        if state.get(idx) == max {
+            return Outcome::Ignored;
+        }
+        let mut t = state.clone();
+        t.set(idx, state.get(idx) + 1);
+        let mut actions = Vec::new();
+        if t.get(0) + t.get(1) >= self.threshold && !t.flag(2) {
+            t.set_flag(2, true);
+            actions.push(Action::send("fire"));
+        }
+        Outcome::to(t, actions)
+    }
+
+    fn is_final_state(&self, state: &StateVector) -> bool {
+        state.get(1) == self.max1
+    }
+}
+
+fn two_counter() -> impl Strategy<Value = TwoCounter> {
+    (1u32..6, 1u32..6, 1u32..8).prop_map(|(max0, max1, threshold)| TwoCounter {
+        max0,
+        max1,
+        threshold,
+    })
+}
+
+/// A two-phase threshold EFSM: `a` counts `x` up to the parameter in
+/// `wait`, then `b` counts `y` in `mid` until `done`. With `spill` the
+/// `mid` transitions carry a `Set` update, which is not inline-fusable
+/// and forces the kernel's scalar bytecode fallback for those cells.
+fn threshold_efsm(spill: bool) -> Efsm {
+    let mut b = EfsmBuilder::new("kernel-prop", ["a", "b"]);
+    let t = b.add_param("t");
+    let x = b.add_var("x");
+    let y = b.add_var("y");
+    let wait = b.add_state("wait");
+    let mid = b.add_state("mid");
+    let done = b.add_state("done");
+    b.add_transition(
+        wait,
+        "a",
+        Guard::when(LinExpr::var(x).plus_const(1), CmpOp::Lt, LinExpr::param(t)),
+        vec![Update::Inc(x)],
+        vec![],
+        wait,
+    );
+    b.add_transition(
+        wait,
+        "a",
+        Guard::when(LinExpr::var(x).plus_const(1), CmpOp::Ge, LinExpr::param(t)),
+        vec![Update::Inc(x)],
+        vec![Action::send("adv")],
+        mid,
+    );
+    let bump = |spill: bool| {
+        if spill {
+            vec![Update::Set(y, LinExpr::var(y).plus_const(1))]
+        } else {
+            vec![Update::Inc(y)]
+        }
+    };
+    b.add_transition(
+        mid,
+        "b",
+        Guard::when(LinExpr::var(y).plus_const(1), CmpOp::Lt, LinExpr::param(t)),
+        bump(spill),
+        vec![],
+        mid,
+    );
+    b.add_transition(
+        mid,
+        "b",
+        Guard::when(LinExpr::var(y).plus_const(1), CmpOp::Ge, LinExpr::param(t)),
+        bump(spill),
+        vec![Action::send("done")],
+        done,
+    );
+    b.build(wait, Some(done))
+}
+
+/// A flat runtime and a `shards`-way sharded one over `engine`, each
+/// with `sessions` sessions spawned in the same order (handle `i` of
+/// one addresses the same execution as handle `i` of the other).
+fn flat_and_sharded(
+    engine: &Engine,
+    sessions: usize,
+    shards: usize,
+) -> (Runtime, Vec<SessionId>, Runtime, Vec<SessionId>) {
+    let mut flat = engine.runtime();
+    let mut sharded = engine.runtime().sharded(shards);
+    let flat_handles = (0..sessions).map(|_| flat.spawn()).collect();
+    let sharded_handles = (0..sessions).map(|_| sharded.spawn()).collect();
+    (flat, flat_handles, sharded, sharded_handles)
+}
+
+/// Every session's complete execution state (state id and full
+/// register file) and finished flag agree between the two runtimes,
+/// and both pass their checked mode.
+fn assert_same_sessions(
+    flat: &Runtime,
+    flat_handles: &[SessionId],
+    sharded: &Runtime,
+    sharded_handles: &[SessionId],
+) -> Result<(), TestCaseError> {
+    flat.check_invariants();
+    sharded.check_invariants();
+    prop_assert_eq!(flat.steps(), sharded.steps());
+    prop_assert_eq!(flat.finished_count(), sharded.finished_count());
+    for (s, (&f, &h)) in flat_handles.iter().zip(sharded_handles).enumerate() {
+        let (a, b) = (flat.snapshot(f), sharded.snapshot(h));
+        prop_assert_eq!((a.state, a.vars), (b.state, b.vars), "session {}", s);
+        prop_assert_eq!(flat.is_finished(f), sharded.is_finished(h), "session {}", s);
+    }
+    Ok(())
+}
+
+/// Drives `messages` (indices into `ids`) through `sharded` on
+/// `workers` work-stealing threads and through `flat` inline, checking
+/// per-batch transition counts and the workers' aggregate totals.
+fn drive_with_workers(
+    flat: &mut Runtime,
+    sharded: &mut Runtime,
+    workers: usize,
+    ids: &[MessageId],
+    messages: &[usize],
+) -> Result<(), TestCaseError> {
+    let shards = sharded.shard_count();
+    sharded.with_workers(workers, |w| {
+        prop_assert_eq!(w.worker_count(), workers.min(shards));
+        for (step, &m) in messages.iter().enumerate() {
+            let t_flat = flat.deliver_all(ids[m]);
+            prop_assert_eq!(w.deliver_all(ids[m]), t_flat, "step {}", step);
+            prop_assert_eq!(w.finished_count(), flat.finished_count(), "step {}", step);
+            prop_assert_eq!(w.steps(), flat.steps(), "step {}", step);
+        }
+        Ok(())
+    })
+}
+
+fn ab_ids(rt: &Runtime) -> [MessageId; 2] {
+    ["a", "b"].map(|m| rt.message_id(m).expect("declared message"))
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// Sharding is a pure layout decision: for any machine, session
+    /// count, shard count and message sequence, inline delivery over
+    /// the shards leaves every session, finished flag and total
+    /// identical to one flat runtime.
+    #[test]
+    fn sharded_runtime_is_deterministic(
+        model in two_counter(),
+        sessions in 1usize..150,
+        shards in 1usize..6,
+        messages in prop::collection::vec(0usize..2, 0..48),
+    ) {
+        let machine = generate(&model).expect("generates").machine;
+        let engine = Engine::compile(Spec::machine(machine)).unwrap();
+        let (mut flat, flat_handles, mut sharded, sharded_handles) =
+            flat_and_sharded(&engine, sessions, shards);
+        prop_assert_eq!(sharded.len(), sessions);
+        prop_assert_eq!(sharded.shard_count(), shards);
+        let ids = ab_ids(&flat);
+        for (step, &m) in messages.iter().enumerate() {
+            let t_flat = flat.deliver_all(ids[m]);
+            prop_assert_eq!(sharded.deliver_all(ids[m]), t_flat, "step {}", step);
+            assert_same_sessions(&flat, &flat_handles, &sharded, &sharded_handles)?;
+        }
+    }
+
+    /// One worker per shard (every worker starts with its own shard and
+    /// steals only when it finishes first) yields the flat runtime's
+    /// transition counts and totals per batch, and its final sessions.
+    #[test]
+    fn worker_per_shard_is_deterministic(
+        model in two_counter(),
+        sessions in 1usize..150,
+        shards in 1usize..6,
+        messages in prop::collection::vec(0usize..2, 0..48),
+    ) {
+        let machine = generate(&model).expect("generates").machine;
+        let engine = Engine::compile(Spec::machine(machine)).unwrap();
+        let (mut flat, flat_handles, mut sharded, sharded_handles) =
+            flat_and_sharded(&engine, sessions, shards);
+        let ids = ab_ids(&flat);
+        drive_with_workers(&mut flat, &mut sharded, shards, &ids, &messages)?;
+        assert_same_sessions(&flat, &flat_handles, &sharded, &sharded_handles)?;
+    }
+
+    /// Work stealing is a pure scheduling change: for any machine and
+    /// any shard × worker split (1..8 shards, 1..5 workers), the
+    /// stealing drive yields the flat runtime's per-batch transition
+    /// counts and totals, and its final sessions — whichever worker
+    /// steals which shard.
+    #[test]
+    fn stealing_workers_are_deterministic(
+        model in two_counter(),
+        sessions in 1usize..150,
+        shards in 1usize..8,
+        workers in 1usize..5,
+        messages in prop::collection::vec(0usize..2, 0..48),
+    ) {
+        let machine = generate(&model).expect("generates").machine;
+        let engine = Engine::compile(Spec::machine(machine)).unwrap();
+        let (mut flat, flat_handles, mut sharded, sharded_handles) =
+            flat_and_sharded(&engine, sessions, shards);
+        let ids = ab_ids(&flat);
+        drive_with_workers(&mut flat, &mut sharded, workers, &ids, &messages)?;
+        assert_same_sessions(&flat, &flat_handles, &sharded, &sharded_handles)?;
+    }
+
+    /// The same on the compiled-EFSM tier, where shards also carry
+    /// registers, with and without spilled cells: every session's
+    /// registers end identical to the flat runtime's, and to core's
+    /// single-threaded `EfsmSessionPool` fed the same batches.
+    #[test]
+    fn stealing_workers_match_flat_efsm_pool(
+        t in 1i64..6,
+        spill in any::<bool>(),
+        sessions in 1usize..150,
+        shards in 1usize..8,
+        workers in 1usize..5,
+        messages in prop::collection::vec(0usize..2, 0..48),
+    ) {
+        let efsm = threshold_efsm(spill);
+        let engine = Engine::compile(Spec::efsm(efsm.clone(), vec![t])).unwrap();
+        let (mut flat, flat_handles, mut sharded, sharded_handles) =
+            flat_and_sharded(&engine, sessions, shards);
+        let ids = ab_ids(&flat);
+        drive_with_workers(&mut flat, &mut sharded, workers, &ids, &messages)?;
+        assert_same_sessions(&flat, &flat_handles, &sharded, &sharded_handles)?;
+        let compiled = CompiledEfsm::compile(&efsm).expect("compiles");
+        let mut pool = EfsmSessionPool::new(&compiled, vec![t], sessions);
+        for &m in &messages {
+            pool.deliver_all(compiled.message_id(["a", "b"][m]).expect("declared message"));
+        }
+        prop_assert_eq!(pool.steps(), sharded.steps());
+        prop_assert_eq!(pool.finished_count(), sharded.finished_count());
+        for (s, &h) in sharded_handles.iter().enumerate() {
+            prop_assert_eq!(pool.state_name(s), sharded.state_name(h), "session {}", s);
+            prop_assert_eq!(pool.vars(s), sharded.vars(h), "session {}", s);
+        }
     }
 }

@@ -72,6 +72,7 @@ fn apply_ops(rt: &mut Runtime, ops: &[PoolOp]) -> Vec<SessionId> {
                 }
             }
         }
+        rt.check_invariants();
     }
     live
 }
@@ -91,6 +92,7 @@ proptest! {
             let snap = rt.snapshot_all();
 
             let mut restored = Runtime::restore(&engine, &snap).unwrap();
+            restored.check_invariants();
             // Bit-identical: re-snapshotting the restored pool yields the
             // exact same snapshot (states, vars, generations, free list).
             prop_assert_eq!(&restored.snapshot_all(), &snap);
@@ -120,6 +122,8 @@ proptest! {
                 prop_assert_eq!(a, b);
                 prop_assert_eq!(rt.state(s), restored.state(s));
                 prop_assert_eq!(rt.is_finished(s), restored.is_finished(s));
+                rt.check_invariants();
+                restored.check_invariants();
             }
             prop_assert_eq!(&restored.snapshot_all(), &rt.snapshot_all());
         }

@@ -58,7 +58,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // ...and the compiled engine serves the same statechart from dense
     // tables (the `flattened_hsm` tier), here batch-stepping a 40k
-    // sharded runtime on persistent parked workers with the same
+    // sharded runtime on persistent work-stealing workers with the same
     // zero-allocation dispatch as any other compiled machine.
     let engine = Engine::compile(Spec::hierarchical(hsm.clone()))?;
     assert_eq!(engine.tier(), Tier::FlattenedHsm);
@@ -74,7 +74,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .iter()
         .map(|m| engine.message_id(m).expect("lifecycle alphabet"))
         .collect();
-    let transitions = pool.with_workers(|workers| {
+    let transitions = pool.with_workers(4, |workers| {
         let mut transitions = 0;
         for &mid in &trace {
             transitions += workers.deliver_all(mid);

@@ -3,7 +3,9 @@
 #
 #   scripts/verify.sh
 #
-# 1. builds the whole workspace in release mode;
+# 1. builds the whole workspace in release mode, and the benchmark of
+#    record (perfbench/, a workspace of its own), so a library API
+#    change that breaks the benchmark fails verification;
 # 2. runs every test (default-members covers all crates) — this
 #    includes the HSM property suite (crates/core/tests/hsm_props.rs),
 #    the guarded-statechart property suite
@@ -49,13 +51,17 @@
 #    the ring quotient must be smaller, allocation-free, and no slower
 #    than the unminimized original in paired passes);
 # 7. fails if the benchmark artefacts are missing required rows
-#    (including the runtime_facade, artifact_cold_load,
-#    hsm_minimized and storage_faulted rows).
+#    (including the runtime_facade, runtime_facade_sharded_4,
+#    work_stealing_4, artifact_cold_load, hsm_minimized and
+#    storage_faulted rows).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 echo "== cargo build --release =="
 cargo build --release
+
+echo "== cargo build perfbench (the benchmark of record builds against the library APIs) =="
+cargo build --release --offline --manifest-path perfbench/Cargo.toml
 
 echo "== cargo test -q (includes the HSM property + facade conformance suites) =="
 cargo test -q
@@ -92,7 +98,7 @@ for row in interpreted_name compiled hsm_flattened hsm_guarded_flattened \
            hsm_unminimized hsm_minimized \
            batched_pool batched_kernel efsm_pool efsm_kernel efsm_compiled \
            artifact_cold_load artifact_booted_pool \
-           sharded_pool_4 sharded_persistent_4 work_stealing_4 generated \
+           work_stealing_4 generated \
            runtime_facade runtime_facade_sharded_4 runtime_observed; do
     grep -q "\"name\": \"$row\"" BENCH_engine_tiers.json \
         || { echo "BENCH_engine_tiers.json is missing the $row row" >&2; exit 1; }
